@@ -391,7 +391,14 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 	for inFlight > 0 || (!aborted && next < len(x.shards)) {
 		var jobCh chan int
 		if !aborted && next < len(x.shards) {
-			jobCh = jobs
+			// select picks at random among ready cases, so ctx.Done alone
+			// could lose to dispatch until every shard is handed out and
+			// a cancelled campaign would come back complete.
+			if ctx.Err() != nil {
+				aborted = true
+			} else {
+				jobCh = jobs
+			}
 		}
 		select {
 		case jobCh <- next:
@@ -401,7 +408,11 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 			skipStopped()
 		case c := <-results:
 			inFlight--
-			if c.evaluated {
+			if !c.evaluated {
+				// A worker saw cancellation: the shard stays unmerged, so
+				// the Result is partial whatever select picks next.
+				aborted = true
+			} else {
 				if x.trace != nil {
 					s := x.shards[c.shard]
 					x.emitTrace(TraceShardDone, func(ev *TraceEvent) {

@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"cnnsfi/internal/faultmodel"
 	"cnnsfi/internal/stats"
 )
 
@@ -61,6 +63,26 @@ func interruptAfter(cancel context.CancelFunc, n int64) []Option {
 	}
 }
 
+// cancellingEvaluator cancels the campaign once n experiments have been
+// evaluated. A progress-sink cancel (interruptAfter) fires only when the
+// in-order merge reaches a point, and workers scheduled ahead of a slow
+// first shard can finish the whole campaign before that; this cancel
+// lands with at most one shard per worker in flight, so an interrupted
+// run always leaves work to resume.
+type cancellingEvaluator struct {
+	Evaluator
+	n      int64
+	evals  atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancellingEvaluator) IsCritical(f faultmodel.Fault) bool {
+	if c.evals.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Evaluator.IsCritical(f)
+}
+
 // TestEngineCheckpointResumeBitIdentity is the acceptance criterion: a
 // campaign killed mid-run (checkpoint written) then resumed must yield a
 // Result byte-identical to the uninterrupted run at the same seed and
@@ -75,9 +97,9 @@ func TestEngineCheckpointResumeBitIdentity(t *testing.T) {
 
 		ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 		ctx, cancel := context.WithCancel(context.Background())
-		opts := append(interruptAfter(cancel, plan.TotalInjections()/3),
-			WithWorkers(workers), WithCheckpoint(ckpt), WithCheckpointInterval(128))
-		partial, err := NewEngine(opts...).Execute(ctx, o, plan, seed)
+		ev := &cancellingEvaluator{Evaluator: o, n: plan.TotalInjections() / 3, cancel: cancel}
+		partial, err := NewEngine(WithWorkers(workers), WithCheckpoint(ckpt), WithCheckpointInterval(128)).
+			Execute(ctx, ev, plan, seed)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: interrupted run returned %v, want context.Canceled", plan.Approach, err)
@@ -119,9 +141,9 @@ func TestEngineResumeSkipsTalliedWork(t *testing.T) {
 
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
-	opts := append(interruptAfter(cancel, lw.TotalInjections()/2),
-		WithWorkers(workers), WithCheckpoint(ckpt), WithCheckpointInterval(64))
-	partial, err := NewEngine(opts...).Execute(ctx, o, lw, seed)
+	ev := &cancellingEvaluator{Evaluator: o, n: lw.TotalInjections() / 2, cancel: cancel}
+	partial, err := NewEngine(WithWorkers(workers), WithCheckpoint(ckpt), WithCheckpointInterval(64)).
+		Execute(ctx, ev, lw, seed)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupt: %v", err)
@@ -140,6 +162,33 @@ func TestEngineResumeSkipsTalliedWork(t *testing.T) {
 	// least the partial run's tallied prefix was skipped.
 	if partial.Injections() == 0 {
 		t.Fatal("partial run tallied nothing; interruption landed too early to test resume")
+	}
+}
+
+// TestEngineCancelledBeforeDispatch: a context cancelled before any
+// shard is handed out must yield a partial Result, context.Canceled and
+// a kept checkpoint, never a complete Result with nothing tallied. The
+// dispatcher must notice the cancellation before handing out the plan's
+// one shard, whichever ready case its select would pick.
+func TestEngineCancelledBeforeDispatch(t *testing.T) {
+	o, _ := smallOracle(t)
+	space := o.Space()
+	plan := &Plan{Approach: LayerWise, Config: stats.DefaultConfig(), Space: space,
+		Subpops: []Subpopulation{{Layer: 0, Bit: -1, Population: space.LayerTotal(0), P: 0.5, SampleSize: 1}}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+		res, err := NewEngine(WithWorkers(1), WithCheckpoint(ckpt)).Execute(ctx, o, plan, int64(i))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, want context.Canceled", i, err)
+		}
+		if !res.Partial || res.Injections() != 0 {
+			t.Fatalf("run %d: partial=%v with %d injections, want a partial result with none", i, res.Partial, res.Injections())
+		}
+		if _, err := os.Stat(ckpt); err != nil {
+			t.Fatalf("run %d: checkpoint of the cancelled run: %v", i, err)
+		}
 	}
 }
 

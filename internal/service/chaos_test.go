@@ -281,7 +281,15 @@ func TestStateWriteFailuresSurfaceAsWarnings(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, svc, st.ID, service.StateRunning)
-	if err := os.RemoveAll(dir); err != nil { // the volume goes away
+	// The volume goes away atomically: the running job keeps writing its
+	// checkpoint and trace, so removing dir in place races those creates
+	// ("directory not empty"). Nothing resolves a path into the renamed
+	// directory, so it can then be removed.
+	gone := dir + ".gone"
+	if err := os.Rename(dir, gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(gone); err != nil {
 		t.Fatal(err)
 	}
 

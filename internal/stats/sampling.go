@@ -2,14 +2,24 @@ package stats
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
 // SampleWithoutReplacement draws k distinct integers uniformly at random
-// from [0, n) using Robert Floyd's algorithm, which needs O(k) memory and
-// O(k) expected time regardless of n. Sampling without replacement is
-// what the finite population correction of Eq. 1 assumes; sampling with
-// replacement would inflate the variance for n close to N.
+// from [0, n) using Robert Floyd's algorithm, which needs O(k) expected
+// time regardless of n. Sampling without replacement is what the finite
+// population correction of Eq. 1 assumes; sampling with replacement would
+// inflate the variance for n close to N.
+//
+// Floyd's algorithm needs a set of the values drawn so far. A dense
+// bitset over [0, n) is used whenever its ⌈n/64⌉ words number at most
+// 4·k; sparser draws use a linear-probing hash table of more than 2k and
+// at most 4k slots. Either way the set costs at most 32 bytes per draw,
+// and the call makes two allocations: the set and the result. The set is
+// an implementation detail: the generator calls, their order, the
+// duplicate rule and the returned sequence are exactly those of the
+// textbook version over a map, for any generator state.
 //
 // The returned slice is in insertion order (not sorted). It panics if
 // k < 0, n < 0, or k > n.
@@ -18,16 +28,63 @@ func SampleWithoutReplacement(rng *rand.Rand, n, k int64) []int64 {
 		panic(fmt.Sprintf("stats: cannot sample %d from %d", k, n))
 	}
 	out := make([]int64, 0, k)
-	seen := make(map[int64]struct{}, k)
+	if denseDraw(n, k) {
+		seen := make([]uint64, (n+63)/64)
+		for j := n - k; j < n; j++ {
+			t := rng.Int63n(j + 1)
+			if seen[t>>6]&(1<<(t&63)) != 0 {
+				t = j
+			}
+			seen[t>>6] |= 1 << (t & 63)
+			out = append(out, t)
+		}
+		return out
+	}
+	seen := newDrawnSet(k)
 	for j := n - k; j < n; j++ {
 		t := rng.Int63n(j + 1)
-		if _, dup := seen[t]; dup {
+		s := seen.slot(t)
+		if seen.table[s] != 0 {
+			// Every earlier draw is below j, so j is never in the set.
 			t = j
+			s = seen.slot(t)
 		}
-		seen[t] = struct{}{}
+		seen.table[s] = t + 1
 		out = append(out, t)
 	}
 	return out
+}
+
+// denseDraw reports whether a bitset over [0, n) stays within the hash
+// table's bound of 32 bytes per draw: ⌈n/64⌉ ≤ 4·k words, which is
+// n ≤ 256·k.
+func denseDraw(n, k int64) bool { return n <= 256*k }
+
+// drawnSet is an insert-only open-addressing hash set of non-negative
+// integers for Floyd's algorithm on sparse draws. Slots hold value+1, so
+// the zero slot is empty and the table needs no initialisation.
+type drawnSet struct {
+	table []int64
+	shift uint
+}
+
+// newDrawnSet sizes the table to the smallest power of two above 2k
+// slots, which keeps the load factor below one half.
+func newDrawnSet(k int64) drawnSet {
+	b := bits.Len64(uint64(k)) + 1
+	return drawnSet{table: make([]int64, 1<<b), shift: uint(64 - b)}
+}
+
+// slot returns the index holding v, or the empty slot ending v's probe
+// sequence when v is absent. The hash is Fibonacci hashing: the top bits
+// of v times 2^64/φ.
+func (s drawnSet) slot(v int64) int {
+	mask := len(s.table) - 1
+	i := int((uint64(v) * 0x9e3779b97f4a7c15) >> s.shift)
+	for s.table[i] != 0 && s.table[i] != v+1 {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // ProportionEstimate is the outcome of estimating a success proportion

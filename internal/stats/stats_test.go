@@ -499,6 +499,84 @@ func TestSampleWithoutReplacementPanics(t *testing.T) {
 	}
 }
 
+// floydMapReference is Floyd's algorithm over a Go map, the textbook form
+// SampleWithoutReplacement must reproduce draw for draw.
+func floydMapReference(rng *rand.Rand, n, k int64) []int64 {
+	out := make([]int64, 0, k)
+	seen := make(map[int64]struct{}, k)
+	for j := n - k; j < n; j++ {
+		t := rng.Int63n(j + 1)
+		if _, dup := seen[t]; dup {
+			t = j
+		}
+		seen[t] = struct{}{}
+		out = append(out, t)
+	}
+	return out
+}
+
+// samplerCases spans both set regimes and their edges: empty and full
+// samples, populations below one word or not a multiple of 64, and n at
+// the ⌈n/64⌉ = 4·k threshold (n = 2560 and 2497 for k = 10) and one word
+// above it (2561, 2624).
+var samplerCases = []struct{ n, k int64 }{
+	{0, 0}, {1, 0}, {1000, 0}, {1 << 30, 0},
+	{1, 1}, {50, 50}, {64, 64}, {1000, 1000},
+	{10, 3}, {17, 1}, {63, 5}, {63, 63},
+	{1000, 100}, {100001, 777}, {73728, 13577},
+	{2560, 10}, {2497, 10}, {2561, 10}, {2624, 10},
+	{1 << 30, 1000}, {1 << 40, 50}, {17174144, 300},
+}
+
+// TestSampleWithoutReplacementMatchesMapReference: for every seed, one
+// generator pair runs through all cases in turn, so each case also starts
+// from an arbitrary mid-stream generator state. Outputs must agree and
+// both generators must be left in the same state.
+func TestSampleWithoutReplacementMatchesMapReference(t *testing.T) {
+	var dense, sparse int
+	for _, tc := range samplerCases {
+		if denseDraw(tc.n, tc.k) {
+			dense++
+		} else {
+			sparse++
+		}
+	}
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("cases cover %d dense and %d sparse draws, want both regimes", dense, sparse)
+	}
+	if !denseDraw(2560, 10) || !denseDraw(2497, 10) || denseDraw(2561, 10) || denseDraw(2624, 10) {
+		t.Fatal("the bitset regime does not end at ⌈n/64⌉ = 4·k words")
+	}
+	for seed := int64(0); seed < 1000; seed++ {
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for _, tc := range samplerCases {
+			g, w := SampleWithoutReplacement(got, tc.n, tc.k), floydMapReference(want, tc.n, tc.k)
+			if len(g) != len(w) {
+				t.Fatalf("seed %d n=%d k=%d: %d draws, reference %d", seed, tc.n, tc.k, len(g), len(w))
+			}
+			for i := range g {
+				if g[i] != w[i] {
+					t.Fatalf("seed %d n=%d k=%d: draw %d = %d, reference %d", seed, tc.n, tc.k, i, g[i], w[i])
+				}
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d: generator left at %d, reference at %d", seed, g, w)
+		}
+	}
+}
+
+// TestSampleWithoutReplacementAllocs pins the set to one allocation
+// beside the result slice, in both regimes.
+func TestSampleWithoutReplacementAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct{ n, k int64 }{{73728, 13577}, {1 << 30, 1000}} {
+		if a := testing.AllocsPerRun(20, func() { SampleWithoutReplacement(rng, tc.n, tc.k) }); a > 2 {
+			t.Errorf("n=%d k=%d (dense %v): %v allocs per call, want <= 2", tc.n, tc.k, denseDraw(tc.n, tc.k), a)
+		}
+	}
+}
+
 func TestProportionEstimate(t *testing.T) {
 	c := DefaultConfig()
 	p := ProportionEstimate{Successes: 50, SampleSize: 1000, PopulationSize: 100000}
@@ -570,12 +648,26 @@ func BenchmarkNormalQuantile(b *testing.B) {
 	_ = acc
 }
 
+// BenchmarkSampleWithoutReplacement prices one stratum draw in each set
+// regime. dense is a data-unaware Table III stratum of ResNet-20 at
+// e = 1%: the stuck-at population 2·36,864 of a 64→64 3×3 conv, of
+// which Eq. 1 draws 13,577. sparse is 1,000 draws from 2^30.
 func BenchmarkSampleWithoutReplacement(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < b.N; i++ {
-		SampleWithoutReplacement(rng, 1<<30, 1000)
+	for _, bc := range []struct {
+		name string
+		n, k int64
+	}{{"dense", 73728, 13577}, {"sparse", 1 << 30, 1000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sampleSink = SampleWithoutReplacement(rng, bc.n, bc.k)
+			}
+		})
 	}
 }
+
+var sampleSink []int64
 
 func TestWilsonIntervalBasics(t *testing.T) {
 	c := DefaultConfig()
