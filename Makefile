@@ -4,7 +4,8 @@
 #   make test    run the full test suite (tier-1 gate, with build)
 #   make race    run the concurrency-relevant packages under the race
 #                detector (slow: real inference under -race)
-#   make vet     static analysis
+#   make vet     static analysis, and a gofmt check that fails on any
+#                unformatted file
 #   make bench   the serial-vs-parallel runner benchmarks, plus the
 #                batched-engine and grouped-experiment hot-path prices
 #   make fuzz-smoke  run every fuzz target for a short budget (the CI
@@ -43,10 +44,12 @@ test: build
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/inject/ ./internal/nn/ ./internal/telemetry/ ./internal/service/ ./sfi/
+	$(GO) test -race ./internal/core/ ./internal/inject/ ./internal/nn/ ./internal/oracle/ ./internal/telemetry/ ./internal/service/ ./sfi/
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l . lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallel_|BenchmarkEngine_Batched|BenchmarkIsCritical_Grouped' -benchtime 3x .

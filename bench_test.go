@@ -410,6 +410,50 @@ func BenchmarkIsCritical_Unmasked(b *testing.B) {
 	}
 }
 
+// BenchmarkOracle_IsCritical prices oracle verdicts over a fixed stream
+// of 65,536 ResNet-20 faults spread across the whole population (about
+// half masked, like a real campaign); one op is one pass over the
+// stream, so even -benchtime 3x times ~200k verdicts, and ns/verdict
+// reports the per-verdict price. "serial" is one goroutine on the root
+// oracle; "parallel" runs GOMAXPROCS goroutines under b.RunParallel,
+// each on its own CloneForWorker view as the campaign engine's workers
+// are, so ns/verdict falls with cores only if the views never contend
+// on a shared counter.
+func BenchmarkOracle_IsCritical(b *testing.B) {
+	_, o, _ := resnetFixture(b)
+	space := o.Space()
+	faults := make([]faultmodel.Fault, 1<<16)
+	stride := space.Total() / int64(len(faults))
+	for i := range faults {
+		faults[i] = space.GlobalFault(int64(i) * stride)
+	}
+	pass := func(ev sfi.Evaluator) {
+		for _, f := range faults {
+			ev.IsCritical(f)
+		}
+	}
+	perVerdict := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(faults)), "ns/verdict")
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pass(o)
+		}
+		perVerdict(b)
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			ev := o.CloneForWorker()
+			for pb.Next() {
+				pass(ev)
+			}
+		})
+		perVerdict(b)
+	})
+}
+
 // BenchmarkSmallCNN_StatisticalVsExhaustive runs the four statistical
 // campaigns on the trained SmallCNN with real inference, restricted to
 // layer 0, and reports each estimate (the inference-substrate

@@ -226,9 +226,9 @@ type execution struct {
 // outcome.
 //
 // The evaluator contract matches the classic runners: evaluators
-// implementing WorkerCloner get one clone per worker beyond the first;
-// any other evaluator is shared and must be safe for concurrent
-// IsCritical calls (irrelevant at one worker).
+// implementing WorkerCloner (the injector, the oracle) get one clone
+// per worker beyond the first; any other evaluator is shared and must
+// be safe for concurrent IsCritical calls (irrelevant at one worker).
 func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int64) (*Result, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("core: engine: nil plan")

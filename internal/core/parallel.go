@@ -4,23 +4,17 @@ import (
 	"context"
 	"fmt"
 	"os"
+
+	"cnnsfi/internal/evalstats"
 )
 
-// WorkerCloner is implemented by evaluators whose IsCritical is not safe
-// for concurrent use but which can produce independent per-worker
-// copies. The campaign Engine gives every worker beyond the first its
-// own clone, which is how the inference-based inject.Injector — whose
-// experiments mutate live network weights — runs one campaign on all
-// cores. Evaluators that do not implement WorkerCloner are shared
-// across workers and must have a concurrency-safe IsCritical (see
-// Evaluator).
-type WorkerCloner interface {
-	Evaluator
-	// CloneForWorker returns an evaluator over the same fault space
-	// whose IsCritical may run concurrently with the receiver's and
-	// with other clones'.
-	CloneForWorker() Evaluator
-}
+// WorkerCloner is an Evaluator that supplies per-worker clones: the
+// campaign Engine gives every worker beyond the first its own clone.
+// The inference-based inject.Injector needs this because its
+// experiments mutate live network weights; the oracle uses it so each
+// worker counts into its own counter slot. See evalstats.WorkerCloner,
+// where it is defined so that substrates need not import the engine.
+type WorkerCloner = evalstats.WorkerCloner
 
 // validateDecode is the process-wide default for the defensive
 // validation of every fault decoded in the shard-evaluation path
@@ -44,9 +38,9 @@ var validateDecode = os.Getenv("SFI_VALIDATE_DECODE") != ""
 // 640-stratum data-aware plan.
 //
 // Concurrency contract: an evaluator implementing WorkerCloner (the
-// inference-based inject.Injector) is cloned once per extra worker;
-// any other evaluator (the oracle substrate, the activation injector)
-// is shared and must be safe for concurrent IsCritical calls.
+// inference-based inject.Injector, the oracle substrate) is cloned once
+// per extra worker; any other evaluator (the activation injector) is
+// shared and must be safe for concurrent IsCritical calls.
 //
 // RunParallel is a thin compatibility wrapper over the campaign Engine;
 // use NewEngine directly for cancellation, streaming progress,

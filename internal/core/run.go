@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"cnnsfi/internal/evalstats"
 	"cnnsfi/internal/faultmodel"
 	"cnnsfi/internal/stats"
 )
@@ -14,18 +15,13 @@ import (
 //
 // Concurrency rule: Run never calls IsCritical concurrently, so any
 // Evaluator works there. RunParallel shares the evaluator across
-// workers — IsCritical must then be safe for concurrent use (the oracle
-// and the activation injector are) — unless the evaluator also
-// implements WorkerCloner, in which case each worker gets its own clone
-// (the weight injector, which mutates live network weights, does this).
-type Evaluator interface {
-	// IsCritical runs one fault-injection experiment. The verdict must
-	// be a pure function of the fault and the evaluator's golden state:
-	// the campaign runners evaluate samples in arbitrary shard order.
-	IsCritical(f faultmodel.Fault) bool
-	// Space returns the fault universe the evaluator covers.
-	Space() faultmodel.Space
-}
+// workers — IsCritical must then be safe for concurrent use (the
+// activation injector is) — unless the evaluator also implements
+// WorkerCloner, in which case each worker gets its own clone (the
+// weight injector, which mutates live network weights, and the oracle,
+// which counts per clone, do this). The interface is defined in
+// internal/evalstats, below the substrates; see evalstats.Evaluator.
+type Evaluator = evalstats.Evaluator
 
 // Result is the outcome of executing a Plan: one proportion estimate per
 // stratum, plus (for network-wise plans) the per-layer slices of the

@@ -16,7 +16,10 @@
 // without replacement reduces to sampling integers.
 package faultmodel
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Model enumerates the supported fault types.
 type Model uint8
@@ -119,9 +122,15 @@ func (s Space) BitLayerFault(l, bit int, j int64) Fault {
 	if bit < 0 || bit >= s.Bits {
 		panic(fmt.Sprintf("faultmodel: bit %d out of range", bit))
 	}
-	v := s.variantsPerBit()
 	if j < 0 || j >= s.BitLayerTotal(l) {
 		panic(fmt.Sprintf("faultmodel: index %d out of bit-layer subpopulation", j))
+	}
+	// A power-of-two variant count — both universes defined here: two
+	// stuck-at variants, one bit-flip — decodes with a shift and a mask
+	// instead of a 64-bit division. j ≥ 0, so both forms are exact.
+	v := s.variantsPerBit()
+	if v&(v-1) == 0 {
+		return Fault{Layer: l, Param: int(j >> bits.TrailingZeros64(uint64(v))), Bit: bit, Model: s.Variants[j&(v-1)]}
 	}
 	return Fault{Layer: l, Param: int(j / v), Bit: bit, Model: s.Variants[j%v]}
 }

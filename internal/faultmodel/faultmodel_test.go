@@ -1,6 +1,7 @@
 package faultmodel
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -169,5 +170,57 @@ func TestMobileNetV2PopulationSize(t *testing.T) {
 	s := NewStuckAt(params, 32)
 	if got := s.Total(); got != 141029376 {
 		t.Errorf("population = %d, want 141,029,376", got)
+	}
+}
+
+// bitLayerFaultByDivision is the reference decode BitLayerFault must
+// match bit for bit: the plain 64-bit division and remainder, valid for
+// any variant count.
+func bitLayerFaultByDivision(s Space, l, bit int, j int64) Fault {
+	v := int64(len(s.Variants))
+	return Fault{Layer: l, Param: int(j / v), Bit: bit, Model: s.Variants[j%v]}
+}
+
+// layerFaultByDivision is LayerFault over the reference bit-layer decode.
+func layerFaultByDivision(s Space, l int, j int64) Fault {
+	perBit := s.BitLayerTotal(l)
+	return bitLayerFaultByDivision(s, l, int(j/perBit), j%perBit)
+}
+
+// TestDecodeMatchesDivision pins the shift-and-mask fast path of
+// BitLayerFault (and LayerFault, which calls it) to the division
+// decode, for both universes the package defines and for a
+// three-variant space that takes the division fallback: at index 0,
+// the last index and random indices of every layer.
+func TestDecodeMatchesDivision(t *testing.T) {
+	spaces := map[string]Space{
+		"stuck-at": NewStuckAt(resnet20Params, 32),
+		"bit-flip": NewBitFlip(resnet20Params, 32),
+		"three":    {LayerParams: resnet20Params, Bits: 32, Variants: []Model{StuckAt0, StuckAt1, BitFlip}},
+	}
+	rng := rand.New(rand.NewSource(14))
+	for name, s := range spaces {
+		for l := 0; l < s.NumLayers(); l++ {
+			perBit, perLayer := s.BitLayerTotal(l), s.LayerTotal(l)
+			idx := []int64{0, perBit - 1}
+			for k := 0; k < 200; k++ {
+				idx = append(idx, rng.Int63n(perBit))
+			}
+			for _, j := range idx {
+				bit := rng.Intn(s.Bits)
+				if got, want := s.BitLayerFault(l, bit, j), bitLayerFaultByDivision(s, l, bit, j); got != want {
+					t.Fatalf("%s: BitLayerFault(%d, %d, %d) = %v, want %v", name, l, bit, j, got, want)
+				}
+			}
+			idx = []int64{0, perLayer - 1}
+			for k := 0; k < 200; k++ {
+				idx = append(idx, rng.Int63n(perLayer))
+			}
+			for _, j := range idx {
+				if got, want := s.LayerFault(l, j), layerFaultByDivision(s, l, j); got != want {
+					t.Fatalf("%s: LayerFault(%d, %d) = %v, want %v", name, l, j, got, want)
+				}
+			}
+		}
 	}
 }

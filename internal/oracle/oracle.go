@@ -36,6 +36,7 @@ package oracle
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -95,25 +96,52 @@ func (c Config) withDefaults() Config {
 }
 
 // Oracle labels every fault of a network's stuck-at universe.
+//
+// IsCritical is safe for concurrent use (the verdict is a pure function
+// of the snapshot and the seed), but campaigns should give each worker
+// its own CloneForWorker view: a view shares every read-only field and
+// counts into its own cache-line-padded counter slot, so workers never
+// contend on a shared counter.
 type Oracle struct {
-	cfg     Config
-	space   faultmodel.Space
-	weights [][]float32
-	scale   []float64 // per-layer weight scale (std dev)
-	pmax    []float64 // per-layer attenuated PMax
-	// Evaluations counts verdicts issued, for reporting. It is updated
-	// atomically: IsCritical is safe for concurrent use (the verdict is
-	// a pure function of the snapshot and the seed), which the parallel
-	// campaign runner relies on.
-	Evaluations int64
-
-	// skipped/evaluated back EvalStats: how many verdicts came from the
-	// masked-fault short-circuit vs the full perturbation model.
-	skipped, evaluated int64
+	cfg      Config
+	space    faultmodel.Space
+	weights  [][]float32
+	scale    []float64 // per-layer weight scale (std dev)
+	pmax     []float64 // per-layer attenuated PMax
+	seedHash uint64    // FNV-1a state after mixing cfg.Seed; see hashUnit
 
 	// latency, when non-nil, receives the wall time of every full
 	// (non-masked) verdict; see SetLatencyHistogram.
 	latency *evalstats.Histogram
+
+	// counters is owned by the root oracle and shared by all its views;
+	// slot is the one this view counts into (slot 0 for the root).
+	counters *counters
+	slot     *counterSlot
+}
+
+// counterSlots is the fixed number of counter slots behind one root
+// oracle and all its views. Views beyond it share slots round-robin,
+// which stays correct (the counters are atomic) and only brings back
+// some contention; the storage never grows, however many campaigns or
+// supervision retries clone the oracle.
+const counterSlots = 64
+
+// counterSlot backs EvalStats for one view: how many verdicts came from
+// the masked-fault short-circuit vs the full perturbation model. It is
+// padded to two cache lines so that views counting into neighbouring
+// slots never share a line (adjacent-line prefetch pulls lines in
+// pairs).
+type counterSlot struct {
+	skipped, evaluated atomic.Int64
+	_                  [128 - 16]byte
+}
+
+// counters is the fixed counter storage a root oracle owns and every
+// view cloned from it shares.
+type counters struct {
+	slots [counterSlots]counterSlot
+	next  atomic.Uint64 // clones handed out so far
 }
 
 // New snapshots the network's weights and builds the oracle over its
@@ -122,12 +150,15 @@ func New(net *nn.Network, cfg Config) *Oracle {
 	cfg = cfg.withDefaults()
 	layers := net.WeightLayers()
 	o := &Oracle{
-		cfg:     cfg,
-		space:   faultmodel.NewStuckAt(net.LayerParamCounts(), fp.Bits32),
-		weights: make([][]float32, len(layers)),
-		scale:   make([]float64, len(layers)),
-		pmax:    make([]float64, len(layers)),
+		cfg:      cfg,
+		space:    faultmodel.NewStuckAt(net.LayerParamCounts(), fp.Bits32),
+		weights:  make([][]float32, len(layers)),
+		scale:    make([]float64, len(layers)),
+		pmax:     make([]float64, len(layers)),
+		seedHash: fnvMix(fnvOffset, uint64(cfg.Seed)),
+		counters: new(counters),
 	}
+	o.slot = &o.counters.slots[0]
 	att := 1.0
 	for l, wl := range layers {
 		w := make([]float32, wl.NumWeights())
@@ -172,8 +203,16 @@ func (o *Oracle) CriticalProbability(f faultmodel.Fault) float64 {
 		return 0
 	}
 	rel := delta / o.scale[f.Layer]
-	// Log-logistic: P = PMax / (1 + (Tau/rel)^Alpha).
-	return o.pmax[f.Layer] / (1 + math.Pow(o.cfg.Tau/rel, o.cfg.Alpha))
+	// Log-logistic: P = PMax / (1 + (Tau/rel)^Alpha). For the default
+	// Alpha = 2 the plain product gives math.Pow's bits at a fraction of
+	// the cost: Pow(q, 2) is the correctly rounded q·q whenever that is a
+	// normal float64 or overflows to +Inf, and where q·q is subnormal
+	// (Pow rounds twice there) 1 + q·q rounds to 1 either way.
+	q := o.cfg.Tau / rel
+	if o.cfg.Alpha == 2 {
+		return o.pmax[f.Layer] / (1 + q*q)
+	}
+	return o.pmax[f.Layer] / (1 + math.Pow(q, o.cfg.Alpha))
 }
 
 // Masked reports whether f is a stuck-at fault whose target bit already
@@ -198,12 +237,11 @@ func (o *Oracle) Masked(f faultmodel.Fault) bool {
 // exactly the verdict the full model produces for them (a bit-identical
 // weight has CriticalProbability 0), as the differential tests pin.
 func (o *Oracle) IsCritical(f faultmodel.Fault) bool {
-	atomic.AddInt64(&o.Evaluations, 1)
 	if o.Masked(f) {
-		atomic.AddInt64(&o.skipped, 1)
+		o.slot.skipped.Add(1)
 		return false
 	}
-	atomic.AddInt64(&o.evaluated, 1)
+	o.slot.evaluated.Add(1)
 	if o.latency != nil {
 		start := time.Now()
 		v := o.verdict(f)
@@ -214,12 +252,25 @@ func (o *Oracle) IsCritical(f faultmodel.Fault) bool {
 }
 
 // SetLatencyHistogram implements evalstats.LatencySampler: every
-// subsequent non-masked verdict records its wall time into h. The
-// oracle is shared across campaign workers rather than cloned, so
-// install the histogram before the campaign starts — IsCritical reads
-// the pointer without synchronization. A nil h disables timing (the
+// subsequent non-masked verdict records its wall time into h. Install
+// the histogram before the campaign starts: IsCritical reads the
+// pointer without synchronization, and worker clones inherit whatever
+// the oracle held when they were cut. A nil h disables timing (the
 // default; the disabled path never touches the clock).
 func (o *Oracle) SetLatencyHistogram(h *evalstats.Histogram) { o.latency = h }
+
+// CloneForWorker implements evalstats.WorkerCloner: a view of the same
+// oracle — weights, scale, pmax, config, space and latency histogram
+// are shared, not copied — that counts into the next counter slot of
+// the root, so concurrent workers never write the same cache line.
+// Verdicts are identical to the receiver's; EvalStats on the root or
+// any view sums every slot.
+func (o *Oracle) CloneForWorker() evalstats.Evaluator {
+	c := *o
+	n := o.counters.next.Add(1) - 1
+	c.slot = &o.counters.slots[1+n%(counterSlots-1)]
+	return &c
+}
 
 // IsCriticalReference is IsCritical without the masked-fault
 // short-circuit: the full perturbation-magnitude path for every fault.
@@ -234,16 +285,20 @@ func (o *Oracle) verdict(f faultmodel.Fault) bool {
 	if p <= 0 {
 		return false
 	}
-	return hashUnit(o.cfg.Seed, f) < p
+	return hashFault(o.seedHash, f) < p
 }
 
-// EvalStats implements core.StatsReporter. The oracle has no arena and
-// no early exits; only the skip/evaluate split is populated.
+// EvalStats implements core.StatsReporter, summed over the root oracle
+// and every view cloned from it. The oracle has no arena and no early
+// exits; only the skip/evaluate split is populated.
 func (o *Oracle) EvalStats() evalstats.EvalStats {
-	return evalstats.EvalStats{
-		Skipped:   atomic.LoadInt64(&o.skipped),
-		Evaluated: atomic.LoadInt64(&o.evaluated),
+	var s evalstats.EvalStats
+	for i := range o.counters.slots {
+		c := &o.counters.slots[i]
+		s.Skipped += c.skipped.Load()
+		s.Evaluated += c.evaluated.Load()
 	}
+	return s
 }
 
 // ExhaustiveLayerRate enumerates every fault in layer l and returns the
@@ -285,31 +340,56 @@ func (o *Oracle) ExhaustiveNetworkRate() float64 {
 	return float64(critical) / float64(total)
 }
 
-// Oracle implements both halves of the evaluator stats seam.
+// Oracle implements both halves of the evaluator stats seam, and the
+// per-worker clone seam.
 var (
 	_ evalstats.Reporter       = (*Oracle)(nil)
 	_ evalstats.LatencySampler = (*Oracle)(nil)
+	_ evalstats.WorkerCloner   = (*Oracle)(nil)
 )
 
-// hashUnit maps (seed, fault) to a uniform value in [0, 1) via FNV-1a.
-func hashUnit(seed int64, f faultmodel.Fault) float64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvPrimePow[k] is fnvPrime^k mod 2^64.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
 	}
-	mix(uint64(seed))
-	mix(uint64(f.Layer))
-	mix(uint64(f.Param))
-	mix(uint64(f.Bit))
-	mix(uint64(f.Model))
+	return p
+}()
+
+// fnvMix folds the 8 little-endian bytes of v into the FNV-1a state h.
+// XOR with a zero byte is a no-op, so the bytes above v's last nonzero
+// byte contribute only their multiplies by the prime, and those fold
+// into one multiply by a prime power: exact mod 2^64, and a chain of
+// one multiply per significant byte plus one instead of eight.
+func fnvMix(h, v uint64) uint64 {
+	n := (bits.Len64(v) + 7) / 8
+	for ; v != 0; v >>= 8 {
+		h ^= v & 0xff
+		h *= fnvPrime
+	}
+	return h * fnvPrimePow[8-n]
+}
+
+// hashUnit maps (seed, fault) to a uniform value in [0, 1) via FNV-1a
+// over the 8-byte little-endian encodings of the seed and the fault's
+// fields, then a splitmix64 finalizer.
+func hashUnit(seed int64, f faultmodel.Fault) float64 {
+	return hashFault(fnvMix(fnvOffset, uint64(seed)), f)
+}
+
+// hashFault finishes hashUnit from h, the FNV-1a state after the seed
+// (which the oracle computes once, in New).
+func hashFault(h uint64, f faultmodel.Fault) float64 {
+	h = fnvMix(h, uint64(f.Layer))
+	h = fnvMix(h, uint64(f.Param))
+	h = fnvMix(h, uint64(f.Bit))
+	h = fnvMix(h, uint64(f.Model))
 	// Final avalanche (splitmix64 finalizer) to decorrelate low bits.
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9

@@ -170,8 +170,8 @@ func TestEvaluationCounter(t *testing.T) {
 	f := faultmodel.Fault{Layer: 0, Param: 0, Bit: 30, Model: faultmodel.StuckAt1}
 	o.IsCritical(f)
 	o.IsCritical(f)
-	if o.Evaluations != 2 {
-		t.Errorf("evaluations = %d", o.Evaluations)
+	if got := o.EvalStats().Experiments(); got != 2 {
+		t.Errorf("evaluations = %d", got)
 	}
 }
 

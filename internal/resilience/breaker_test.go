@@ -10,8 +10,8 @@ import (
 // fakeClock drives a breaker deterministically.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newTestBreaker(threshold int, openFor time.Duration) (*Breaker, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	b := NewBreaker(threshold, openFor)

@@ -429,11 +429,11 @@ type partHealth struct {
 // engine. done closes when the engine returns; prog is the live
 // progress snapshot for the fleet view.
 type localRun struct {
-	done   chan struct{}
-	res    *core.Result
-	err    error
-	mu     sync.Mutex
-	prog   core.Progress
+	done chan struct{}
+	res  *core.Result
+	err  error
+	mu   sync.Mutex
+	prog core.Progress
 }
 
 func (lr *localRun) progress() core.Progress {

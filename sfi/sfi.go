@@ -16,11 +16,12 @@
 //
 // For inference-based injection on a real (small) network, replace the
 // oracle with sfi.NewInjector(net, dataset). Both satisfy Evaluator,
-// and both run under RunParallel: the injector clones its network
-// weights per worker (WorkerCloner), the oracle is concurrency-safe as
-// is. Run and RunParallel are deterministic in the seed — the same seed
-// yields a bit-identical Result at any worker count — so parallelism
-// never changes the statistics.
+// and both run under RunParallel with one clone per worker
+// (WorkerCloner): the injector clones its network weights, the oracle
+// shares its read-only model and gives each clone its own experiment
+// counters. Run and RunParallel are deterministic in the seed — the
+// same seed yields a bit-identical Result at any worker count — so
+// parallelism never changes the statistics.
 //
 // Both are thin wrappers over the campaign Engine, which adds the
 // operational controls long campaigns need: context cancellation and
@@ -94,8 +95,8 @@ type (
 	// Evaluator classifies faults (inference-based or simulated).
 	Evaluator = core.Evaluator
 	// WorkerCloner is an Evaluator that supplies per-worker clones for
-	// RunParallel (implemented by Injector; the Oracle and the
-	// ActivationInjector are concurrency-safe without cloning).
+	// RunParallel (implemented by Injector and Oracle; the
+	// ActivationInjector is concurrency-safe without cloning).
 	WorkerCloner = core.WorkerCloner
 	// Injector is the inference-based evaluator (PyTorchFI equivalent).
 	Injector = inject.Injector
@@ -394,9 +395,10 @@ func ReadResultJSON(r io.Reader) (*Result, error) { return core.ReadResultJSON(r
 // workers, so even a single-stratum network-wise plan saturates all
 // cores. Determinism guarantee: the same seed yields a Result
 // bit-identical to Run's, regardless of worker count. Both evaluator
-// families are supported — the Oracle and ActivationInjector are shared
-// (concurrency-safe), and the Injector is cloned per worker
-// (WorkerCloner) because its experiments mutate live network weights.
+// families are supported — the ActivationInjector is shared
+// (concurrency-safe); the Injector is cloned per worker (WorkerCloner)
+// because its experiments mutate live network weights, and the Oracle
+// because its clones count experiments without contending.
 func RunParallel(ev Evaluator, plan *Plan, seed int64, workers int) *Result {
 	return core.RunParallel(ev, plan, seed, workers)
 }
