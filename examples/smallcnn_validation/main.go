@@ -92,7 +92,7 @@ func main() {
 				est.Covers(cfg, truth))
 		}
 	}
-	fmt.Printf("\ntotal inference experiments: %d\n", inj.Injections)
+	fmt.Printf("\ntotal inference experiments: %d\n", inj.EvalStats().Experiments())
 }
 
 // restrict keeps only the plan strata targeting the given layers, so the

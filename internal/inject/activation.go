@@ -110,7 +110,7 @@ func (inj *ActivationInjector) IsCritical(f faultmodel.Fault) bool {
 	copy(scratch, cache)
 	scratch[node] = corrupted
 	out := inj.Net.ExecFrom(inj.images[image], scratch, node+1)
-	return predictChecked(out) != inj.golden[image]
+	return predictChecked(out.Data) != inj.golden[image]
 }
 
 // NumImages returns the evaluation-set size.

@@ -1,18 +1,16 @@
 package inject
 
-// Batched evaluation: the same experiment loop as IsCritical /
-// MismatchCount, but the per-image suffix re-execution is replaced by
-// one batched suffix pass per image *chunk* (nn.ExecBatchFromScratch).
-// The graph-walk and patch-gather overhead that the unbatched path pays
-// once per image is paid once per chunk, and the batched kernels keep
-// per-element accumulation order identical to the single-image kernels,
-// so verdicts — and the EvalStats breakdown — are bit-identical to the
-// unbatched path. SetBatchSize opts in; the default remains unbatched.
+// The golden chunks and the one evaluation loop. The evaluation images
+// are stacked into NCHW chunks of up to SetBatchSize images (one image
+// per chunk by default), each with its batched golden activation cache,
+// and every experiment — IsCritical, MismatchCount and IsCriticalMulti
+// alike — re-executes one arena suffix pass per chunk
+// (nn.ExecBatchFromScratchChannel). The nn kernels are batch-invariant,
+// so verdicts, mismatch counts and the EvalStats breakdown are
+// bit-identical at every batch size; only wall time changes.
 
 import (
-	"fmt"
 	"sync/atomic"
-	"time"
 
 	"cnnsfi/internal/faultmodel"
 	"cnnsfi/internal/nn"
@@ -20,53 +18,39 @@ import (
 )
 
 // SetBatchSize selects how many evaluation images each faulted forward
-// pass evaluates at once. n <= 1 restores the default unbatched path; n
-// larger than the evaluation set is clamped by construction (the final
-// chunk simply holds the remainder). Changing the size discards any
-// previously built batched golden state, which is rebuilt lazily on the
-// next evaluated experiment. Verdicts and EvalStats are bit-identical at
-// every batch size; only wall time changes. Call it before the campaign
-// starts and before cloning — clones inherit the size (and any state
-// already built) at clone time. Goroutine-level parallelism inside one
-// batched pass is a separate, orthogonal knob: Net.SetBatchParallelism.
+// pass evaluates at once. n <= 1 means one image per pass; n larger than
+// the evaluation set is clamped by construction (the final chunk simply
+// holds the remainder). A new size rebuilds the golden chunks at once,
+// so it must be called while the network's weights are golden — before
+// the campaign starts, and before cloning, so that worker clones share
+// the chunks instead of each holding its own.
 func (inj *Injector) SetBatchSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n == inj.batch {
-		return
-	}
+	n = max(n, 0)
+	old := inj.batch
 	inj.batch = n
-	inj.batchInputs = nil
-	inj.batchCaches = nil
-	inj.batchScratch = nil
+	if max(n, 1) != max(old, 1) {
+		inj.buildChunks()
+	}
 }
 
-// BatchSize returns the configured batch size (0 or 1 mean unbatched).
+// BatchSize returns the configured batch size (0 or 1 mean one image
+// per pass).
 func (inj *Injector) BatchSize() int { return inj.batch }
 
-// batched reports whether experiments should take the batched path.
-// A single-image evaluation set gains nothing from batching, so it
-// stays on the (identical-verdict) unbatched path.
-func (inj *Injector) batched() bool { return inj.batch > 1 && len(inj.images) > 1 }
-
-// ensureBatchState lazily builds the batched golden state: the
-// evaluation images stacked into NCHW chunks of up to batch images, and
-// one batched golden activation cache per chunk. Chunks cover the
-// images in evaluation-set order, so image i lives at position
-// i%batch of chunk i/batch and the batched loops visit images in the
-// exact order the unbatched loops do. Must be called while the network
-// is fault-free (before the experiment's mutate step) so the caches are
-// golden. The built state is immutable and shared with clones taken
-// afterwards.
-func (inj *Injector) ensureBatchState() {
-	if inj.batchInputs != nil {
-		return
-	}
+// buildChunks builds the golden chunk state from the current weights:
+// the evaluation images stacked into NCHW chunks of up to max(batch, 1)
+// images, and one heap-allocated batched golden activation cache per
+// chunk. Chunks cover the images in evaluation-set order, so image i
+// lives at position i%batch of chunk i/batch and the evaluation loop
+// visits images in evaluation-set order at every batch size. The built
+// state is immutable; clones taken afterwards share it.
+func (inj *Injector) buildChunks() {
+	size := max(inj.batch, 1)
 	sz := inj.images[0].Len()
 	shape := inj.images[0].Shape
-	for i := 0; i < len(inj.images); i += inj.batch {
-		nb := min(inj.batch, len(inj.images)-i)
+	inj.batchInputs, inj.batchCaches = nil, nil
+	for i := 0; i < len(inj.images); i += size {
+		nb := min(size, len(inj.images)-i)
 		in := tensor.New(append([]int{nb}, shape...)...)
 		for n := 0; n < nb; n++ {
 			copy(in.Data[n*sz:(n+1)*sz], inj.images[i+n].Data)
@@ -74,15 +58,6 @@ func (inj *Injector) ensureBatchState() {
 		inj.batchInputs = append(inj.batchInputs, in)
 		inj.batchCaches = append(inj.batchCaches, inj.Net.ExecBatch(in))
 	}
-}
-
-// batchScratchBuf returns the reusable per-experiment batched cache
-// view; per-instance (never shared with clones), like scratchBuf.
-func (inj *Injector) batchScratchBuf() []*tensor.Tensor {
-	if len(inj.batchScratch) != len(inj.Net.Nodes) {
-		inj.batchScratch = make([]*tensor.Tensor, len(inj.Net.Nodes))
-	}
-	return inj.batchScratch
 }
 
 // faultChannel returns the output channel of the faulted layer that a
@@ -99,44 +74,18 @@ func (inj *Injector) faultChannel(f faultmodel.Fault) int {
 	return -1
 }
 
-// isCriticalBatched is IsCritical's batched twin: identical counting,
-// masked short-circuit, inline mutate-and-restore and classification —
-// only the evaluation loop differs, running one arena suffix pass per
-// chunk instead of per image. SDC still exits on the first mismatching
-// image (skipping any remaining chunks), and earlyExits counts exactly
-// the cases the unbatched path counts: a mismatch on any image but the
-// last.
-func (inj *Injector) isCriticalBatched(f faultmodel.Fault) bool {
-	inj.countInjection()
-	c := inj.stats()
-	if inj.Masked(f) {
-		atomic.AddInt64(&c.skipped, 1)
-		return false
+// evaluate is the evaluation loop of every experiment: it re-executes
+// the network from node from (with channel hint oc, see
+// ExecBatchFromScratchChannel) on every chunk, in evaluation-set order,
+// and counts the images whose top-1 prediction changed and those still
+// classified correctly. With stopAtFirst it returns at the first
+// mismatching image, skipping the remaining images and chunks, and
+// counts an early exit unless that image was the last.
+func (inj *Injector) evaluate(c *evalCounters, from, oc int, stopAtFirst bool) (mismatches, correct int) {
+	if len(inj.batchScratch) != len(inj.Net.Nodes) {
+		inj.batchScratch = make([]*tensor.Tensor, len(inj.Net.Nodes))
 	}
-	atomic.AddInt64(&c.evaluated, 1)
-	inj.ensureBatchState() // before the mutate below: caches must be golden
-	var start time.Time
-	if inj.latency != nil {
-		start = time.Now()
-	}
-
-	w := inj.layers[f.Layer].WeightData()
-	old := w[f.Param]
-	w[f.Param] = faultValue(old, f)
-	defer func() {
-		w[f.Param] = old
-		inj.publishArenaGrowth(c)
-		if inj.latency != nil {
-			inj.latency.Observe(time.Since(start))
-		}
-	}()
-
-	from := inj.nodes[f.Layer]
-	oc := inj.faultChannel(f)
-	scratch := inj.batchScratchBuf()
-
-	mismatches := 0
-	correct := 0
+	scratch := inj.batchScratch
 	img := 0
 	for ci, in := range inj.batchInputs {
 		copy(scratch, inj.batchCaches[ci])
@@ -144,14 +93,14 @@ func (inj *Injector) isCriticalBatched(f faultmodel.Fault) bool {
 		nb := in.Shape[0]
 		k := out.Len() / nb
 		for n := 0; n < nb; n++ {
-			pred := predictCheckedSlice(out.Data[n*k : (n+1)*k])
+			pred := predictChecked(out.Data[n*k : (n+1)*k])
 			if pred != inj.golden[img] {
 				mismatches++
-				if inj.Criterion == SDC {
-					if img < len(inj.images)-1 {
+				if stopAtFirst {
+					if img < len(inj.golden)-1 {
 						atomic.AddInt64(&c.earlyExits, 1)
 					}
-					return true
+					return mismatches, correct
 				}
 			}
 			if pred == inj.labels[img] {
@@ -160,69 +109,14 @@ func (inj *Injector) isCriticalBatched(f faultmodel.Fault) bool {
 			img++
 		}
 	}
-
-	switch inj.Criterion {
-	case SDC:
-		return mismatches > 0
-	case AccuracyDrop:
-		return float64(correct)/float64(len(inj.images)) < inj.acc
-	case MismatchRate:
-		return float64(mismatches)/float64(len(inj.images)) > inj.Threshold
-	default:
-		panic(fmt.Sprintf("inject: unsupported criterion %v", inj.Criterion))
-	}
+	return mismatches, correct
 }
 
-// mismatchCountBatched is MismatchCount's batched twin (no early exit).
-func (inj *Injector) mismatchCountBatched(f faultmodel.Fault) int {
-	inj.countInjection()
-	c := inj.stats()
-	if inj.Masked(f) {
-		atomic.AddInt64(&c.skipped, 1)
-		return 0
-	}
-	atomic.AddInt64(&c.evaluated, 1)
-	inj.ensureBatchState()
-	var start time.Time
-	if inj.latency != nil {
-		start = time.Now()
-	}
-
-	w := inj.layers[f.Layer].WeightData()
-	old := w[f.Param]
-	w[f.Param] = faultValue(old, f)
-	defer func() {
-		w[f.Param] = old
-		inj.publishArenaGrowth(c)
-		if inj.latency != nil {
-			inj.latency.Observe(time.Since(start))
-		}
-	}()
-
-	from := inj.nodes[f.Layer]
-	oc := inj.faultChannel(f)
-	scratch := inj.batchScratchBuf()
-	mismatches := 0
-	img := 0
-	for ci, in := range inj.batchInputs {
-		copy(scratch, inj.batchCaches[ci])
-		out := inj.Net.ExecBatchFromScratchChannel(in, scratch, from, oc)
-		nb := in.Shape[0]
-		k := out.Len() / nb
-		for n := 0; n < nb; n++ {
-			if predictCheckedSlice(out.Data[n*k:(n+1)*k]) != inj.golden[img] {
-				mismatches++
-			}
-			img++
-		}
-	}
-	return mismatches
-}
-
-// predictCheckedSlice is predictChecked over one image's slice of a
-// batched output tensor: any NaN maps to -1, otherwise the first-
-// occurrence argmax (tensor.ArgMax semantics, including -1 for empty).
-func predictCheckedSlice(data []float32) int {
+// predictChecked returns the top-1 index of one image's scores (first
+// occurrence on ties, -1 when empty), mapping any scores containing NaN
+// to -1 — which never equals a golden prediction, so numerical
+// corruption always counts as a mismatch.
+func predictChecked(data []float32) int {
 	idx := -1
 	var best float32
 	for i, v := range data {

@@ -89,16 +89,34 @@ func TestDifferentialBatchedMismatchCount(t *testing.T) {
 	}
 }
 
-// TestBatchedCloneSharesGoldenState checks that a clone taken after the
-// batched state is built inherits the batch size, shares the immutable
-// chunks and caches, owns its own scratch, and returns the same
-// verdicts as its root.
+// TestSetBatchSizeBuildsEagerly checks that SetBatchSize builds the
+// golden chunks at once, so a clone taken right after it — as the
+// engine takes its worker clones, before the first experiment — shares
+// them, and that evaluating on the clone never rebuilds them.
+func TestSetBatchSizeBuildsEagerly(t *testing.T) {
+	inj := newTestInjector(t)
+	inj.SetBatchSize(4)
+	if len(inj.batchInputs) != 2 || inj.batchInputs[0].Shape[0] != 4 {
+		t.Fatalf("SetBatchSize(4) over 8 images built %d chunks, want 2 of 4", len(inj.batchInputs))
+	}
+	c := inj.Clone()
+	if len(c.batchInputs) == 0 || &c.batchInputs[0] != &inj.batchInputs[0] || &c.batchCaches[0] != &inj.batchCaches[0] {
+		t.Fatal("a clone taken right after SetBatchSize does not share the golden chunks")
+	}
+	c.IsCritical(unmaskedStuckAt(c))
+	if &c.batchInputs[0] != &inj.batchInputs[0] {
+		t.Fatal("an experiment on the clone rebuilt the golden chunks")
+	}
+}
+
+// TestBatchedCloneSharesGoldenState checks that a clone inherits the
+// batch size, shares the immutable chunks and caches, owns its own
+// scratch, and returns the same verdicts as its root.
 func TestBatchedCloneSharesGoldenState(t *testing.T) {
 	inj := newTestInjector(t)
 	inj.SetBatchSize(4)
 	r := rand.New(rand.NewSource(21))
-	f0 := randomFault(r, inj.Space())
-	inj.IsCritical(f0) // force the lazy build
+	inj.IsCritical(randomFault(r, inj.Space())) // the root's scratch is now in use
 
 	c := inj.Clone()
 	if c.BatchSize() != 4 {
@@ -118,9 +136,9 @@ func TestBatchedCloneSharesGoldenState(t *testing.T) {
 	}
 }
 
-// TestSetBatchSizeInvalidates checks that resizing discards the built
-// state (it is rebuilt at the new chunking) and that size 0/1 restores
-// the unbatched path — with verdicts unchanged throughout.
+// TestSetBatchSizeInvalidates checks that resizing replaces the built
+// state with chunks of the new size (one image each at size 0/1) —
+// with verdicts unchanged throughout.
 func TestSetBatchSizeInvalidates(t *testing.T) {
 	inj := newTestInjector(t)
 	r := rand.New(rand.NewSource(33))
@@ -132,8 +150,8 @@ func TestSetBatchSizeInvalidates(t *testing.T) {
 	}
 	for _, size := range []int{4, 3, 8, 1, 5, 0} {
 		inj.SetBatchSize(size)
-		if size > 1 && inj.batchInputs != nil {
-			t.Fatalf("size %d: stale batch state survived the resize", size)
+		if got, want := inj.batchInputs[0].Shape[0], min(max(size, 1), inj.NumImages()); got != want {
+			t.Fatalf("size %d: first chunk holds %d images, want %d", size, got, want)
 		}
 		for i, f := range faults {
 			if got := inj.IsCritical(f); got != want[i] {
@@ -170,7 +188,7 @@ func TestBatchedSteadyStateAllocFree(t *testing.T) {
 				inj.SetLatencyHistogram(&h)
 			}
 			f := unmaskedStuckAt(inj)
-			inj.IsCritical(f) // build batch state, warm the arena
+			inj.IsCritical(f) // warm the arena and the scratch view
 			if allocs := testing.AllocsPerRun(20, func() { inj.IsCritical(f) }); allocs != 0 {
 				t.Fatalf("warm batched IsCritical allocates %.1f times per run, want 0", allocs)
 			}

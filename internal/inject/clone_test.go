@@ -56,8 +56,8 @@ func TestCloneVerdictsMatchParent(t *testing.T) {
 	}
 }
 
-// TestCloneCountsAggregate: clones share the root's atomic experiment
-// counter, so campaign totals survive the fan-out/join.
+// TestCloneCountsAggregate: clones share the root's atomic EvalStats
+// counters, so campaign totals survive the fan-out/join.
 func TestCloneCountsAggregate(t *testing.T) {
 	parent := newTestInjector(t)
 	a, b := parent.Clone(), parent.Clone()
@@ -66,8 +66,8 @@ func TestCloneCountsAggregate(t *testing.T) {
 	a.IsCritical(f)
 	a.IsCritical(f)
 	b.IsCritical(f)
-	if parent.Injections != 4 {
-		t.Errorf("root counter = %d, want 4 (aggregated across clones)", parent.Injections)
+	if got := parent.EvalStats().Experiments(); got != 4 {
+		t.Errorf("root experiments = %d, want 4 (aggregated across clones)", got)
 	}
 }
 

@@ -13,29 +13,31 @@ import (
 )
 
 // This file is the differential test harness for the allocation-free
-// hot path: a reference evaluator that reproduces the pre-optimization
-// behaviour exactly — Apply + closure restore, a freshly allocated node
-// cache per experiment, heap ExecFrom, no masked-fault short-circuit,
-// no SDC early-exit accounting — is run against IsCritical and
-// MismatchCount over thousands of seeded random faults per criterion,
-// on both fault models and both evaluation substrates.
+// hot path: a reference evaluator with none of its optimizations —
+// Apply + closure restore, a full heap forward pass per image, no
+// prefix cache, no chunks, no channel-partial recompute, no
+// masked-fault short-circuit, no SDC early-exit accounting — is run
+// against IsCritical and MismatchCount over thousands of seeded random
+// faults per criterion, on both fault models and both evaluation
+// substrates.
 
-// referenceIsCritical is the pre-optimization classification path,
-// reconstructed verbatim: it allocates its cache per call, executes the
-// suffix on the heap, and evaluates every fault fully (masked or not).
+// referencePredict is the top-1 of a full heap forward pass of the
+// (possibly faulted) network on one image.
+func referencePredict(inj *Injector, img *tensor.Tensor) int {
+	return predictChecked(inj.Net.Forward(img).Data)
+}
+
+// referenceIsCritical is the unoptimized classification path: it runs
+// every image through the whole network on the heap and evaluates
+// every fault fully (masked or not).
 func referenceIsCritical(inj *Injector, f faultmodel.Fault) bool {
 	restore := inj.Apply(f)
 	defer restore()
 
-	from := inj.nodes[f.Layer]
-	scratch := make([]*tensor.Tensor, len(inj.Net.Nodes))
-
 	mismatches := 0
 	correct := 0
 	for i, img := range inj.images {
-		copy(scratch, inj.caches[i])
-		out := inj.Net.ExecFrom(img, scratch, from)
-		pred := predictChecked(out)
+		pred := referencePredict(inj, img)
 		if pred != inj.golden[i] {
 			mismatches++
 			if inj.Criterion == SDC {
@@ -59,18 +61,14 @@ func referenceIsCritical(inj *Injector, f faultmodel.Fault) bool {
 	}
 }
 
-// referenceMismatchCount is the pre-optimization MismatchCount.
+// referenceMismatchCount is the unoptimized MismatchCount.
 func referenceMismatchCount(inj *Injector, f faultmodel.Fault) int {
 	restore := inj.Apply(f)
 	defer restore()
 
-	from := inj.nodes[f.Layer]
-	scratch := make([]*tensor.Tensor, len(inj.Net.Nodes))
 	mismatches := 0
 	for i, img := range inj.images {
-		copy(scratch, inj.caches[i])
-		out := inj.Net.ExecFrom(img, scratch, from)
-		if predictChecked(out) != inj.golden[i] {
+		if referencePredict(inj, img) != inj.golden[i] {
 			mismatches++
 		}
 	}

@@ -17,12 +17,16 @@
 //     already holds the stuck value (about half the stuck-at universe)
 //     leaves the weight bit-identical and is classified Non-critical
 //     with no inference at all. See Injector.Masked.
-//   - Arena execution: the evaluation loop draws every recomputed
-//     activation from a per-injector scratch arena (nn.Network's
-//     ExecFromScratch), so steady-state experiments perform zero heap
-//     allocations. EvalStats reports how each experiment was resolved.
+//   - Batched arena execution: the evaluation images are stacked into
+//     chunks of SetBatchSize images (chunks of 1 by default), each with
+//     its golden activation cache, and every experiment re-executes one
+//     suffix pass per chunk (nn.Network's ExecBatchFromScratchChannel).
+//     Recomputed activations come from a per-injector scratch arena, so
+//     steady-state experiments perform zero heap allocations, and a
+//     conv fault recomputes only its own output channel of the faulted
+//     layer. EvalStats reports how each experiment was resolved.
 //
-// A third lever is parallelism: Injector.Clone produces per-worker
+// A further lever is parallelism: Injector.Clone produces per-worker
 // copies that share the (immutable) golden state but own independent
 // weight storage, so core.RunParallel can evaluate one campaign on all
 // cores while each worker mutates only its private network.
@@ -91,27 +95,16 @@ type Injector struct {
 
 	images []*tensor.Tensor
 	labels []int
-	golden []int              // golden top-1 per image
-	caches [][]*tensor.Tensor // per-image golden node outputs
-	space  faultmodel.Space   // stuck-at universe over Net's layers
-	layers []nn.WeightLayer   // resolved weight layers
-	nodes  []int              // graph node index per weight layer
-	acc    float64            // golden top-1 accuracy
-
-	// Injections counts the experiments run, for reporting. Clones
-	// aggregate their counts here too (atomically), so after a parallel
-	// campaign the root injector's counter covers all workers. Read it
-	// only after the campaign's goroutines have been joined.
-	Injections int64
-
-	// count is where experiment counts accumulate: the root injector's
-	// own Injections field, shared by every clone derived from it.
-	count *int64
+	golden []int            // golden top-1 per image
+	space  faultmodel.Space // stuck-at universe over Net's layers
+	layers []nn.WeightLayer // resolved weight layers
+	nodes  []int            // graph node index per weight layer
+	acc    float64          // golden top-1 accuracy
 
 	// counters aggregates the campaign-wide evaluation statistics
 	// (masked skips, full evaluations, SDC early exits, arena bytes),
 	// shared by every clone derived from the same root and updated
-	// atomically — like count, but for the EvalStats breakdown.
+	// atomically.
 	counters *evalCounters
 
 	// latency, when non-nil, receives the wall time of every evaluated
@@ -121,17 +114,13 @@ type Injector struct {
 	// SetLatencyHistogram before the campaign starts.
 	latency *evalstats.Histogram
 
-	// scratch is this injector's reusable node-output slice for the hot
-	// path; per-instance (not shared with clones) like Net's arena.
-	scratch []*tensor.Tensor
-
-	// batch is the opt-in evaluation batch size (SetBatchSize); 0 and 1
-	// both mean the default unbatched path. The three fields below are
-	// the lazily built batched golden state: the evaluation images
-	// stacked into NCHW chunks, one batched golden activation cache per
-	// chunk (both immutable once built, shared with clones taken after
-	// the build), and the per-instance batched cache view (never
-	// shared, like scratch).
+	// batch is the configured evaluation batch size (SetBatchSize); 0
+	// and 1 both mean chunks of one image. batchInputs and batchCaches
+	// are the golden state, built eagerly by New and SetBatchSize: the
+	// evaluation images stacked into NCHW chunks and one batched golden
+	// activation cache per chunk, immutable once built and shared with
+	// clones. batchScratch is the per-experiment cache view, per
+	// instance and never shared.
 	batch        int
 	batchInputs  []*tensor.Tensor
 	batchCaches  [][]*tensor.Tensor
@@ -152,33 +141,38 @@ type evalCounters struct {
 }
 
 // New builds an injector over the network and evaluation set, computing
-// golden predictions and per-image activation caches. It panics on an
-// empty dataset.
+// golden predictions and the golden activation caches (one chunk per
+// image until SetBatchSize says otherwise). It panics on an empty
+// dataset.
 func New(net *nn.Network, ds *dataset.Dataset) *Injector {
 	if ds.Len() == 0 {
 		panic("inject: empty evaluation set")
 	}
 	inj := &Injector{
-		Net:    net,
-		layers: net.WeightLayers(),
+		Net:      net,
+		layers:   net.WeightLayers(),
+		counters: &evalCounters{},
 	}
-	inj.count = &inj.Injections
-	inj.counters = &evalCounters{}
 	for l := range inj.layers {
 		inj.nodes = append(inj.nodes, net.WeightNodeIndex(l))
 	}
 	inj.space = faultmodel.NewStuckAt(net.LayerParamCounts(), fp.Bits32)
-
-	correct := 0
 	for _, s := range ds.Samples {
-		cache := net.Exec(s.Image)
-		pred := cache[len(cache)-1].ArgMax()
 		inj.images = append(inj.images, s.Image)
 		inj.labels = append(inj.labels, s.Label)
-		inj.golden = append(inj.golden, pred)
-		inj.caches = append(inj.caches, cache)
-		if pred == s.Label {
-			correct++
+	}
+	inj.buildChunks()
+
+	correct := 0
+	for ci, in := range inj.batchInputs {
+		out := inj.batchCaches[ci][len(net.Nodes)-1]
+		k := out.Len() / in.Shape[0]
+		for n := 0; n < in.Shape[0]; n++ {
+			pred := (&tensor.Tensor{Data: out.Data[n*k : (n+1)*k]}).ArgMax()
+			if pred == inj.labels[len(inj.golden)] {
+				correct++
+			}
+			inj.golden = append(inj.golden, pred)
 		}
 	}
 	inj.acc = float64(correct) / float64(ds.Len())
@@ -203,43 +197,29 @@ func (inj *Injector) GoldenPredictions() []int {
 func (inj *Injector) NumImages() int { return len(inj.images) }
 
 // Clone returns an injector that shares this one's immutable golden
-// state (evaluation images, labels, golden predictions, per-image
-// activation caches, fault space) but owns an independent deep copy of
-// the network's injectable weights, so the clone's IsCritical may run
-// concurrently with the original's and with other clones'. Experiment
-// counts from every clone aggregate atomically into the root injector's
-// Injections field. Cloning copies only the weight tensors (~1 MiB for
-// ResNet-20); the golden activation caches — the expensive part of New —
-// are reused.
+// state (evaluation images, labels, golden predictions, golden chunks
+// and their activation caches, fault space) but owns an independent deep
+// copy of the network's injectable weights, so the clone's IsCritical
+// may run concurrently with the original's and with other clones'.
+// EvalStats from every clone aggregate atomically into one shared
+// tally. Cloning copies only the weight tensors (~1 MiB for ResNet-20);
+// the golden activation caches — the expensive part of New — are reused.
 func (inj *Injector) Clone() *Injector {
-	// Field-wise copy rather than `*inj`: the Injections field is
-	// atomically incremented by running clones, and a whole-struct copy
-	// would read it non-atomically (a data race when cloning while
-	// sibling clones evaluate).
 	c := &Injector{
-		Net:       inj.Net.Clone(),
-		Criterion: inj.Criterion,
-		Threshold: inj.Threshold,
-		images:    inj.images,
-		labels:    inj.labels,
-		golden:    inj.golden,
-		caches:    inj.caches,
-		space:     inj.space,
-		nodes:     inj.nodes,
-		acc:       inj.acc,
-		count:     inj.count,
-		counters:  inj.stats(),
-		latency:   inj.latency,
-
-		// Batched golden state is immutable once built: clones share
-		// it like the unbatched caches, and each clone lazily builds
-		// its own private batchScratch.
+		Net:         inj.Net.Clone(),
+		Criterion:   inj.Criterion,
+		Threshold:   inj.Threshold,
+		images:      inj.images,
+		labels:      inj.labels,
+		golden:      inj.golden,
+		space:       inj.space,
+		nodes:       inj.nodes,
+		acc:         inj.acc,
+		counters:    inj.stats(),
+		latency:     inj.latency,
 		batch:       inj.batch,
 		batchInputs: inj.batchInputs,
 		batchCaches: inj.batchCaches,
-	}
-	if c.count == nil { // zero-value parent never initialised its counter
-		c.count = &inj.Injections
 	}
 	c.layers = c.Net.WeightLayers()
 	return c
@@ -249,18 +229,8 @@ func (inj *Injector) Clone() *Injector {
 // give each evaluation worker its own isolated injector.
 func (inj *Injector) CloneForWorker() core.Evaluator { return inj.Clone() }
 
-// countInjection bumps the campaign-wide experiment counter. The root
-// injector counts into its own Injections field; clones count into
-// their root's.
-func (inj *Injector) countInjection() {
-	if inj.count == nil { // zero-value Injector, serial use only
-		inj.count = &inj.Injections
-	}
-	atomic.AddInt64(inj.count, 1)
-}
-
 // stats returns the shared counter block, lazily initialising it for
-// zero-value injectors (serial use only, like countInjection).
+// zero-value injectors (serial use only).
 func (inj *Injector) stats() *evalCounters {
 	if inj.counters == nil {
 		inj.counters = &evalCounters{}
@@ -299,14 +269,6 @@ func (inj *Injector) publishArenaGrowth(c *evalCounters) {
 		atomic.AddInt64(&c.arenaBytes, b-inj.arenaSeen)
 		inj.arenaSeen = b
 	}
-}
-
-// scratchBuf returns this injector's reusable node-output slice.
-func (inj *Injector) scratchBuf() []*tensor.Tensor {
-	if len(inj.scratch) != len(inj.Net.Nodes) {
-		inj.scratch = make([]*tensor.Tensor, len(inj.Net.Nodes))
-	}
-	return inj.scratch
 }
 
 // checkFault panics if the fault's location or model is invalid.
@@ -368,9 +330,9 @@ func (inj *Injector) Masked(f faultmodel.Fault) bool {
 // multi-fault extension also applies transient flips to weights). It
 // panics on an invalid fault location.
 //
-// The returned closure escapes to the heap; IsCritical/MismatchCount
-// inline the same mutate-and-restore sequence instead to stay
-// allocation-free.
+// The returned closure escapes to the heap; IsCritical and
+// MismatchCount inline the same mutate-and-restore sequence instead to
+// stay allocation-free.
 func (inj *Injector) Apply(f faultmodel.Fault) (restore func()) {
 	inj.checkFault(f)
 	w := inj.layers[f.Layer].WeightData()
@@ -382,24 +344,32 @@ func (inj *Injector) Apply(f faultmodel.Fault) (restore func()) {
 // IsCritical runs one complete fault-injection experiment: classify the
 // fault as Non-critical outright if it is masked (no inference), else
 // apply it, re-evaluate the suffix of the network on every image (with
-// early exit under SDC), classify, restore.
-//
-// The evaluation loop is allocation-free in steady state: node outputs
-// come from the network's scratch arena (ExecFromScratch) and the
-// per-experiment cache view is a reused per-injector slice.
-//
-// When a batch size has been configured (SetBatchSize), the experiment
-// runs on the batched twin instead — same verdicts, same EvalStats,
-// fewer suffix passes (one per image chunk).
+// early exit under SDC), classify, restore. In steady state it performs
+// no heap allocation.
 func (inj *Injector) IsCritical(f faultmodel.Fault) bool {
-	if inj.batched() {
-		return inj.isCriticalBatched(f)
-	}
-	inj.countInjection()
+	mismatches, correct, evaluated := inj.experiment(f, inj.Criterion == SDC)
+	return evaluated && inj.verdict(mismatches, correct)
+}
+
+// MismatchCount applies the fault and returns how many evaluation images
+// change their top-1 prediction (no early exit). Useful for analyses
+// beyond the binary Critical/Non-critical classification. Masked faults
+// short-circuit to 0, and the evaluation shares IsCritical's
+// allocation-free path.
+func (inj *Injector) MismatchCount(f faultmodel.Fault) int {
+	mismatches, _, _ := inj.experiment(f, false)
+	return mismatches
+}
+
+// experiment is the body IsCritical and MismatchCount share: counting,
+// the masked short-circuit (evaluated = false), an inline
+// mutate-and-restore around the evaluation loop, arena-growth
+// publishing and latency timing.
+func (inj *Injector) experiment(f faultmodel.Fault, stopAtFirst bool) (mismatches, correct int, evaluated bool) {
 	c := inj.stats()
 	if inj.Masked(f) {
 		atomic.AddInt64(&c.skipped, 1)
-		return false
+		return 0, 0, false
 	}
 	atomic.AddInt64(&c.evaluated, 1)
 	var start time.Time
@@ -417,30 +387,12 @@ func (inj *Injector) IsCritical(f faultmodel.Fault) bool {
 			inj.latency.Observe(time.Since(start))
 		}
 	}()
+	mismatches, correct = inj.evaluate(c, inj.nodes[f.Layer], inj.faultChannel(f), stopAtFirst)
+	return mismatches, correct, true
+}
 
-	from := inj.nodes[f.Layer]
-	scratch := inj.scratchBuf()
-
-	mismatches := 0
-	correct := 0
-	for i, img := range inj.images {
-		copy(scratch, inj.caches[i])
-		out := inj.Net.ExecFromScratch(img, scratch, from)
-		pred := predictChecked(out)
-		if pred != inj.golden[i] {
-			mismatches++
-			if inj.Criterion == SDC {
-				if i < len(inj.images)-1 {
-					atomic.AddInt64(&c.earlyExits, 1)
-				}
-				return true
-			}
-		}
-		if pred == inj.labels[i] {
-			correct++
-		}
-	}
-
+// verdict classifies an evaluated experiment under the criterion.
+func (inj *Injector) verdict(mismatches, correct int) bool {
 	switch inj.Criterion {
 	case SDC:
 		return mismatches > 0
@@ -451,63 +403,6 @@ func (inj *Injector) IsCritical(f faultmodel.Fault) bool {
 	default:
 		panic(fmt.Sprintf("inject: unsupported criterion %v", inj.Criterion))
 	}
-}
-
-// MismatchCount applies the fault and returns how many evaluation images
-// change their top-1 prediction (no early exit). Useful for analyses
-// beyond the binary Critical/Non-critical classification. Masked faults
-// short-circuit to 0, and the evaluation loop shares IsCritical's
-// allocation-free arena path.
-func (inj *Injector) MismatchCount(f faultmodel.Fault) int {
-	if inj.batched() {
-		return inj.mismatchCountBatched(f)
-	}
-	inj.countInjection()
-	c := inj.stats()
-	if inj.Masked(f) {
-		atomic.AddInt64(&c.skipped, 1)
-		return 0
-	}
-	atomic.AddInt64(&c.evaluated, 1)
-	var start time.Time
-	if inj.latency != nil {
-		start = time.Now()
-	}
-
-	w := inj.layers[f.Layer].WeightData()
-	old := w[f.Param]
-	w[f.Param] = faultValue(old, f)
-	defer func() {
-		w[f.Param] = old
-		inj.publishArenaGrowth(c)
-		if inj.latency != nil {
-			inj.latency.Observe(time.Since(start))
-		}
-	}()
-
-	from := inj.nodes[f.Layer]
-	scratch := inj.scratchBuf()
-	mismatches := 0
-	for i, img := range inj.images {
-		copy(scratch, inj.caches[i])
-		out := inj.Net.ExecFromScratch(img, scratch, from)
-		if predictChecked(out) != inj.golden[i] {
-			mismatches++
-		}
-	}
-	return mismatches
-}
-
-// predictChecked returns the top-1 index, mapping any output containing
-// NaN to -1 (which never equals a golden prediction, so numerical
-// corruption always counts as a mismatch).
-func predictChecked(out *tensor.Tensor) int {
-	for _, v := range out.Data {
-		if v != v {
-			return -1
-		}
-	}
-	return out.ArgMax()
 }
 
 // Injector implements both halves of the evaluator stats seam.

@@ -225,8 +225,8 @@ func TestInjectionCounter(t *testing.T) {
 	inj.IsCritical(f)
 	inj.IsCritical(f)
 	inj.MismatchCount(f)
-	if inj.Injections != 3 {
-		t.Errorf("injection counter = %d, want 3", inj.Injections)
+	if got := inj.EvalStats().Experiments(); got != 3 {
+		t.Errorf("experiments = %d, want 3", got)
 	}
 }
 

@@ -81,7 +81,6 @@ func TestMaskedShortCircuitVerdictAndCounters(t *testing.T) {
 	setWeight(inj, 0, 0, 0x3F800000) // 1.0: mantissa clear, exponent set
 
 	base := inj.EvalStats()
-	baseInj := inj.Injections
 
 	// 1.0's exponent is 0x7F: bits 23-29 set, bit 30 and mantissa clear.
 	maskedSA0 := faultmodel.Fault{Layer: 0, Param: 0, Bit: 0, Model: faultmodel.StuckAt0}
@@ -102,8 +101,8 @@ func TestMaskedShortCircuitVerdictAndCounters(t *testing.T) {
 	if s.Evaluated != base.Evaluated {
 		t.Errorf("Evaluated advanced by %d on masked-only faults", s.Evaluated-base.Evaluated)
 	}
-	if got, want := inj.Injections-baseInj, int64(4); got != want {
-		t.Errorf("Injections advanced by %d, want %d (masked experiments still count)", got, want)
+	if got, want := s.Experiments()-base.Experiments(), int64(4); got != want {
+		t.Errorf("Experiments advanced by %d, want %d (masked experiments still count)", got, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"cnnsfi/internal/faultmodel"
@@ -29,7 +28,6 @@ func (inj *Injector) IsCriticalMulti(faults []faultmodel.Fault) bool {
 	}
 	c := inj.stats()
 	if allMasked {
-		inj.countInjection()
 		atomic.AddInt64(&c.skipped, 1)
 		return false
 	}
@@ -47,41 +45,10 @@ func (inj *Injector) IsCriticalMulti(faults []faultmodel.Fault) bool {
 		}
 		inj.publishArenaGrowth(c)
 	}()
-	inj.countInjection()
 	atomic.AddInt64(&c.evaluated, 1)
-
-	from := inj.nodes[earliest]
-	scratch := inj.scratchBuf()
-
-	mismatches := 0
-	correct := 0
-	for i, img := range inj.images {
-		copy(scratch, inj.caches[i])
-		out := inj.Net.ExecFromScratch(img, scratch, from)
-		pred := predictChecked(out)
-		if pred != inj.golden[i] {
-			mismatches++
-			if inj.Criterion == SDC {
-				if i < len(inj.images)-1 {
-					atomic.AddInt64(&c.earlyExits, 1)
-				}
-				return true
-			}
-		}
-		if pred == inj.labels[i] {
-			correct++
-		}
-	}
-	switch inj.Criterion {
-	case SDC:
-		return mismatches > 0
-	case AccuracyDrop:
-		return float64(correct)/float64(len(inj.images)) < inj.acc
-	case MismatchRate:
-		return float64(mismatches)/float64(len(inj.images)) > inj.Threshold
-	default:
-		panic(fmt.Sprintf("inject: unsupported criterion %v", inj.Criterion))
-	}
+	// No channel hint: the faults may span several channels and layers.
+	mismatches, correct := inj.evaluate(c, inj.nodes[earliest], -1, inj.Criterion == SDC)
+	return inj.verdict(mismatches, correct)
 }
 
 // AdjacentMBU expands a seed fault into a burst of width adjacent

@@ -63,78 +63,186 @@ func (c *Conv2D) CloneWeights() WeightLayer {
 // OutSize returns the spatial output size for an input of size in.
 func (c *Conv2D) OutSize(in int) int { return (in+2*c.Pad-c.KH)/c.Stride + 1 }
 
-// Forward computes the convolution of a CHW input.
-func (c *Conv2D) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return c.forward(nil, inputs...)
+// Forward computes the convolution of an NCHW input. The algorithm
+// (direct or im2col, see useIm2col) is a per-layer decision that never
+// depends on the batch size or on which channels are recomputed: the
+// two are not bit-interchangeable under faults, since a padding tap is
+// skipped by direct but multiplied by zero in im2col, which differs for
+// NaN/Inf weights.
+func (c *Conv2D) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+	return c.convolve(a, inputs[0], nil, 0)
 }
 
-// ForwardArena implements ArenaLayer: both the output tensor and the
-// im2col patch matrix come from the arena.
-func (c *Conv2D) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return c.forward(a, inputs...)
-}
-
-func (c *Conv2D) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	x := inputs[0]
-	if x.Shape[0] != c.InC {
-		panic(fmt.Sprintf("nn: conv %q expects %d input channels, got %d", c.Label, c.InC, x.Shape[0]))
+// convolve computes the convolution of x. With a nil golden it computes
+// every output channel. Otherwise only output channel oc is computed and
+// every other channel's plane is copied from golden — bit-identical by
+// determinism, since those channels' weights are untouched and each
+// output channel accumulates independently from its own weight rows, in
+// both the direct and the GEMM kernel. Network.ExecBatchFromScratchChannel
+// uses that to recompute just the faulted channel of the faulted layer.
+func (c *Conv2D) convolve(a *tensor.Arena, x, golden *tensor.Tensor, oc int) *tensor.Tensor {
+	if x.Shape[1] != c.InC {
+		panic(fmt.Sprintf("nn: conv %q expects %d input channels, got %d", c.Label, c.InC, x.Shape[1]))
 	}
-	h, w := x.Shape[1], x.Shape[2]
+	nb, sz := batchDims(x)
+	h, w := x.Shape[2], x.Shape[3]
 	oh := (h+2*c.Pad-c.KH)/c.Stride + 1
 	ow := (w+2*c.Pad-c.KW)/c.Stride + 1
-	if c.useIm2col(oh, ow) {
-		return c.forwardIm2col(a, x)
+	cols := oh * ow
+	out := outTensor(a, nb, c.OutC, oh, ow)
+	ocLo, ocHi := 0, c.OutC
+	if golden != nil {
+		copyGoldenExcept(out.Data, golden.Data, nb, c.OutC, cols, oc)
+		ocLo, ocHi = oc, oc+1
 	}
-	out := outTensor(a, c.OutC, oh, ow)
+	if c.useIm2col(oh, ow) {
+		buf := c.patchMatrix(a, x, nb, h, w, oh, ow)
+		c.gemmTiles(buf, out.Data, ocLo*nb, ocHi*nb, nb, cols)
+		return out
+	}
+	c.direct(x.Data, out.Data, nb, ocLo, ocHi, h, w, oh, ow, sz)
+	return out
+}
 
-	icg := c.InC / c.Groups  // input channels per group
-	ocg := c.OutC / c.Groups // output channels per group
-	ksize := icg * c.KH * c.KW
-
-	for oc := 0; oc < c.OutC; oc++ {
-		g := oc / ocg
-		wBase := oc * ksize
-		outPlane := out.Data[oc*oh*ow : (oc+1)*oh*ow]
-		var bias float32
-		if c.Bias != nil {
-			bias = c.Bias[oc]
+// copyGoldenExcept fills out with golden's planes for every output
+// channel except skip, whose plane is left at out's zero fill so the
+// caller can accumulate it from scratch.
+func copyGoldenExcept(out, golden []float32, nb, outC, plane, skip int) {
+	for n := 0; n < nb; n++ {
+		base := n * outC * plane
+		for ch := 0; ch < outC; ch++ {
+			if ch == skip {
+				continue
+			}
+			lo := base + ch*plane
+			copy(out[lo:lo+plane], golden[lo:lo+plane])
 		}
-		for icLocal := 0; icLocal < icg; icLocal++ {
-			ic := g*icg + icLocal
-			inPlane := x.Data[ic*h*w : (ic+1)*h*w]
-			wOff := wBase + icLocal*c.KH*c.KW
-			for ky := 0; ky < c.KH; ky++ {
-				for kx := 0; kx < c.KW; kx++ {
-					wv := c.W[wOff+ky*c.KW+kx]
-					if wv == 0 {
-						continue
-					}
-					// Valid output rows for this kernel tap.
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*c.Stride + ky - c.Pad
-						if iy < 0 || iy >= h {
+	}
+}
+
+// validRange returns the sub-range [lo, hi) of [0, n) whose indices i
+// satisfy 0 <= i*stride+offset < limit — the output positions whose
+// input tap lands inside the image. Iterating it ascending visits
+// exactly those positions, in order.
+func validRange(limit, stride, offset, n int) (lo, hi int) {
+	if stride == 1 {
+		return validRange1(limit, offset, n)
+	}
+	lo, hi = 0, n
+	if offset < 0 {
+		lo = (-offset + stride - 1) / stride
+	}
+	if m := limit - offset; m <= 0 {
+		return 0, 0
+	} else if q := (m-1)/stride + 1; q < hi {
+		hi = q
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
+// validRange1 is validRange specialised for stride 1: no divisions, so
+// the hot per-tap call costs a handful of ALU ops. An empty range may
+// come back as (lo, lo) rather than (0, 0); callers only iterate it.
+func validRange1(limit, offset, n int) (lo, hi int) {
+	lo = 0
+	if offset < 0 {
+		lo = -offset
+	}
+	hi = limit - offset
+	if hi > n {
+		hi = n
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
+// direct computes output channels [ocLo, ocHi) of the direct
+// convolution of all nb images. Each output element accumulates its
+// taps in (icLocal, ky, kx) order, skipping zero weights, and adds a
+// nonzero bias last; padding taps are skipped — elided by precomputed
+// valid ranges rather than per-element bounds tests — and the stride-1
+// inner loop runs over aligned slices.
+func (c *Conv2D) direct(in, out []float32, nb, ocLo, ocHi, h, w, oh, ow, sz int) {
+	icg := c.InC / c.Groups
+	ocg := c.OutC / c.Groups
+	ksize := icg * c.KH * c.KW
+	osz := c.OutC * oh * ow
+	stride1 := c.Stride == 1
+	for n := 0; n < nb; n++ {
+		img := in[n*sz : (n+1)*sz]
+		o := out[n*osz : (n+1)*osz]
+		for oc := ocLo; oc < ocHi; oc++ {
+			g := oc / ocg
+			wBase := oc * ksize
+			outPlane := o[oc*oh*ow : (oc+1)*oh*ow]
+			for icLocal := 0; icLocal < icg; icLocal++ {
+				ic := g*icg + icLocal
+				inPlane := img[ic*h*w : (ic+1)*h*w]
+				wOff := wBase + icLocal*c.KH*c.KW
+				for ky := 0; ky < c.KH; ky++ {
+					oyLo, oyHi := validRange(h, c.Stride, ky-c.Pad, oh)
+					for kx := 0; kx < c.KW; kx++ {
+						wv := c.W[wOff+ky*c.KW+kx]
+						if wv == 0 {
 							continue
 						}
-						rowIn := inPlane[iy*w : iy*w+w]
-						rowOut := outPlane[oy*ow : oy*ow+ow]
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*c.Stride + kx - c.Pad
-							if ix < 0 || ix >= w {
+						oxLo, oxHi := validRange(w, c.Stride, kx-c.Pad, ow)
+						if oxLo >= oxHi {
+							continue
+						}
+						if stride1 {
+							if oxLo == 0 && oxHi == ow && ow == w {
+								// Full rows with matching row strides: the
+								// whole (oyHi-oyLo)×ow block is contiguous
+								// in both planes (kx == Pad here, so the
+								// input block starts on a row boundary).
+								// One long loop replaces per-row slicing.
+								src := inPlane[(oyLo+ky-c.Pad)*w : (oyHi+ky-c.Pad)*w]
+								dst := outPlane[oyLo*w:]
+								dst = dst[:len(src)]
+								for i, v := range src {
+									dst[i] += wv * v
+								}
 								continue
 							}
-							rowOut[ox] += wv * rowIn[ix]
+							for oy := oyLo; oy < oyHi; oy++ {
+								iy := oy + ky - c.Pad
+								src := inPlane[iy*w+oxLo+kx-c.Pad : iy*w+oxHi+kx-c.Pad]
+								dst := outPlane[oy*ow+oxLo:]
+								dst = dst[:len(src)]
+								for i, v := range src {
+									dst[i] += wv * v
+								}
+							}
+							continue
+						}
+						for oy := oyLo; oy < oyHi; oy++ {
+							iy := oy*c.Stride + ky - c.Pad
+							rowOut := outPlane[oy*ow+oxLo : oy*ow+oxHi]
+							ix := oxLo*c.Stride + kx - c.Pad
+							base := inPlane[iy*w:]
+							for i := range rowOut {
+								rowOut[i] += wv * base[ix]
+								ix += c.Stride
+							}
 						}
 					}
 				}
 			}
-		}
-		if bias != 0 {
-			for i := range outPlane {
-				outPlane[i] += bias
+			if c.Bias != nil {
+				if bias := c.Bias[oc]; bias != 0 {
+					for i := range outPlane {
+						outPlane[i] += bias
+					}
+				}
 			}
 		}
 	}
-	return out
 }
 
 // Linear is a fully-connected layer; weights are stored row-major
@@ -172,32 +280,28 @@ func (l *Linear) CloneWeights() WeightLayer {
 	return &cl
 }
 
-// Forward computes W·x (+ bias) for a rank-1 input of length In.
-func (l *Linear) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return l.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (l *Linear) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return l.forward(a, inputs...)
-}
-
-func (l *Linear) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+// Forward computes W·x (+ bias) for each image of an [N, In] input.
+func (l *Linear) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x := inputs[0]
-	if x.Len() != l.In {
-		panic(fmt.Sprintf("nn: linear %q expects %d inputs, got %d", l.Label, l.In, x.Len()))
+	nb, sz := batchDims(x)
+	if sz != l.In {
+		panic(fmt.Sprintf("nn: linear %q expects %d inputs, got %d", l.Label, l.In, sz))
 	}
-	out := outTensor(a, l.Out)
-	for o := 0; o < l.Out; o++ {
-		row := l.W[o*l.In : (o+1)*l.In]
-		var sum float32
-		for i, v := range x.Data {
-			sum += row[i] * v
+	out := outTensor(a, nb, l.Out)
+	for n := 0; n < nb; n++ {
+		xRow := x.Data[n*l.In : (n+1)*l.In]
+		oRow := out.Data[n*l.Out : (n+1)*l.Out]
+		for o := range oRow {
+			row := l.W[o*l.In : (o+1)*l.In]
+			var sum float32
+			for i, v := range xRow {
+				sum += row[i] * v
+			}
+			if l.Bias != nil {
+				sum += l.Bias[o]
+			}
+			oRow[o] = sum
 		}
-		if l.Bias != nil {
-			sum += l.Bias[o]
-		}
-		out.Data[o] = sum
 	}
 	return out
 }
@@ -251,31 +355,25 @@ func (b *BatchNorm2D) Refold() {
 }
 
 // Forward applies the folded affine transform per channel.
-func (b *BatchNorm2D) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return b.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (b *BatchNorm2D) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return b.forward(a, inputs...)
-}
-
-func (b *BatchNorm2D) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+func (b *BatchNorm2D) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x := inputs[0]
 	if b.scale == nil {
 		b.Refold()
 	}
-	if x.Shape[0] != b.C {
-		panic(fmt.Sprintf("nn: batchnorm %q expects %d channels, got %d", b.Label, b.C, x.Shape[0]))
+	if x.Shape[1] != b.C {
+		panic(fmt.Sprintf("nn: batchnorm %q expects %d channels, got %d", b.Label, b.C, x.Shape[1]))
 	}
+	nb, sz := batchDims(x)
 	out := outTensor(a, x.Shape...)
-	plane := x.Shape[1] * x.Shape[2]
-	for c := 0; c < b.C; c++ {
-		s, sh := b.scale[c], b.shift[c]
-		in := x.Data[c*plane : (c+1)*plane]
-		o := out.Data[c*plane : (c+1)*plane]
-		for i, v := range in {
-			o[i] = s*v + sh
+	plane := x.Shape[2] * x.Shape[3]
+	for n := 0; n < nb; n++ {
+		for c := 0; c < b.C; c++ {
+			s, sh := b.scale[c], b.shift[c]
+			src := x.Data[n*sz+c*plane : n*sz+(c+1)*plane]
+			o := out.Data[n*sz+c*plane : n*sz+(c+1)*plane]
+			for i, v := range src {
+				o[i] = s*v + sh
+			}
 		}
 	}
 	return out

@@ -7,6 +7,16 @@
 // parameters (weights) of convolutional and fully-connected layers; those
 // layers implement WeightLayer and expose their raw float32 storage so
 // that the injector can mutate single bits in place and revert them.
+//
+// Every layer has exactly one kernel, and it is batched: activations
+// carry a leading batch dimension N (NCHW feature maps, [N, F] vectors)
+// and a single image is simply batch 1. The kernels are batch-invariant
+// — for every image n, the output slice [n·len : (n+1)·len] is the same,
+// bit for bit, as a batch-1 run on that image alone. Per-element
+// accumulation order therefore never depends on the batch: the conv GEMM
+// accumulates k-ascending with zero-weight skips and is never blocked
+// over k, and pooling windows always scan ky→kx. Network.Exec and its
+// siblings adapt CHW images to this batch-1 form.
 package nn
 
 import (
@@ -15,43 +25,40 @@ import (
 	"cnnsfi/internal/tensor"
 )
 
-// Layer transforms a single CHW activation tensor. Implementations must
-// be safe for repeated calls; they may not retain the input.
+// Layer transforms batched activations. Implementations must be safe
+// for repeated calls and may not retain the inputs or the output.
 type Layer interface {
 	// Name returns a short human-readable identifier.
 	Name() string
-	// Forward applies the layer to one input (layers with multiple
-	// inputs, such as Add, receive them in order).
-	Forward(inputs ...*tensor.Tensor) *tensor.Tensor
-}
-
-// ArenaLayer is a Layer that can draw its output tensor (and any
-// internal scratch buffers) from a caller-owned tensor.Arena instead of
-// the heap. Every layer in this package implements it; the interface
-// exists so Network.execRange can dispatch without knowing concrete
-// types, and so out-of-tree layers without arena support still work (the
-// executor falls back to Forward for them).
-//
-// The contract mirrors Forward exactly — same output values, bit for
-// bit — with arena semantics layered on top: the returned tensor is
-// valid only until the arena's next Reset, and the layer may not retain
-// it or the inputs. Callers are responsible for the arena's single-owner
-// discipline (see tensor.Arena).
-type ArenaLayer interface {
-	Layer
-	// ForwardArena is Forward with all allocations redirected to a.
-	ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor
+	// Forward applies the layer to batched inputs (layers with multiple
+	// inputs, such as Add, receive them in order). The output — and any
+	// internal workspace, such as Conv2D's im2col patch matrix — comes
+	// from a when it is non-nil, valid only until the arena's next Reset
+	// (see tensor.Arena for the single-owner discipline), and from the
+	// heap when a is nil. For every image of the batch the output must
+	// be bit-identical to a batch-1 call on that image.
+	Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor
 }
 
 // outTensor allocates a zero-filled output tensor from the arena when
 // one is supplied (the injection hot path) or from the heap when a is
-// nil (the plain Forward path). Layer kernels rely on the zero fill:
-// they accumulate into the output or write only selected elements.
+// nil. Layer kernels rely on the zero fill: they accumulate into the
+// output or write only selected elements.
 func outTensor(a *tensor.Arena, shape ...int) *tensor.Tensor {
 	if a != nil {
 		return a.Get(shape...)
 	}
 	return tensor.New(shape...)
+}
+
+// batchDims returns the batch size and per-image element count of a
+// batched tensor.
+func batchDims(x *tensor.Tensor) (nb, sz int) {
+	nb = x.Shape[0]
+	if nb <= 0 {
+		panic(fmt.Sprintf("nn: batched tensor with batch size %d", nb))
+	}
+	return nb, x.Len() / nb
 }
 
 // WeightLayer is a layer whose static parameters are part of the fault
@@ -87,16 +94,7 @@ type ReLU struct{ Label string }
 func (r *ReLU) Name() string { return r.Label }
 
 // Forward applies the rectifier.
-func (r *ReLU) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return r.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (r *ReLU) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return r.forward(a, inputs...)
-}
-
-func (r *ReLU) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+func (r *ReLU) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x := inputs[0]
 	out := outTensor(a, x.Shape...)
 	for i, v := range x.Data {
@@ -114,16 +112,7 @@ type ReLU6 struct{ Label string }
 func (r *ReLU6) Name() string { return r.Label }
 
 // Forward applies the clipped rectifier.
-func (r *ReLU6) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return r.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (r *ReLU6) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return r.forward(a, inputs...)
-}
-
-func (r *ReLU6) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+func (r *ReLU6) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x := inputs[0]
 	out := outTensor(a, x.Shape...)
 	for i, v := range x.Data {
@@ -145,16 +134,7 @@ type Add struct{ Label string }
 func (a *Add) Name() string { return a.Label }
 
 // Forward returns inputs[0] + inputs[1]. It panics on shape mismatch.
-func (a *Add) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return a.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (a *Add) ForwardArena(ar *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return a.forward(ar, inputs...)
-}
-
-func (a *Add) forward(ar *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+func (a *Add) Forward(ar *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x, y := inputs[0], inputs[1]
 	if !tensor.SameShape(x, y) {
 		panic(fmt.Sprintf("nn: Add shape mismatch %v vs %v", x.Shape, y.Shape))
@@ -166,35 +146,30 @@ func (a *Add) forward(ar *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor
 	return out
 }
 
-// GlobalAvgPool reduces a CHW tensor to a length-C vector by averaging
-// each channel plane.
+// GlobalAvgPool reduces an NCHW tensor to [N, C] by averaging each
+// channel plane.
 type GlobalAvgPool struct{ Label string }
 
 // Name returns the layer label.
 func (g *GlobalAvgPool) Name() string { return g.Label }
 
 // Forward averages over the spatial dimensions.
-func (g *GlobalAvgPool) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return g.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (g *GlobalAvgPool) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return g.forward(a, inputs...)
-}
-
-func (g *GlobalAvgPool) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+func (g *GlobalAvgPool) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x := inputs[0]
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := outTensor(a, c)
-	area := float32(h * w)
-	for ci := 0; ci < c; ci++ {
-		var sum float32
-		plane := x.Data[ci*h*w : (ci+1)*h*w]
-		for _, v := range plane {
-			sum += v
+	nb, sz := batchDims(x)
+	c, plane := x.Shape[1], x.Shape[2]*x.Shape[3]
+	out := outTensor(a, nb, c)
+	area := float32(plane)
+	for n := 0; n < nb; n++ {
+		img := x.Data[n*sz : (n+1)*sz]
+		o := out.Data[n*c : (n+1)*c]
+		for ci := range o {
+			var sum float32
+			for _, v := range img[ci*plane : (ci+1)*plane] {
+				sum += v
+			}
+			o[ci] = sum / area
 		}
-		out.Data[ci] = sum / area
 	}
 	return out
 }
@@ -209,33 +184,33 @@ type AvgPool2D struct {
 // Name returns the layer label.
 func (p *AvgPool2D) Name() string { return p.Label }
 
-// Forward applies average pooling with implicit valid padding.
-func (p *AvgPool2D) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return p.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (p *AvgPool2D) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return p.forward(a, inputs...)
-}
-
-func (p *AvgPool2D) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+// Forward applies average pooling with implicit valid padding, scanning
+// each window ky outer, kx inner.
+func (p *AvgPool2D) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x := inputs[0]
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	nb, sz := batchDims(x)
+	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := (h-p.Kernel)/p.Stride + 1
 	ow := (w-p.Kernel)/p.Stride + 1
-	out := outTensor(a, c, oh, ow)
+	out := outTensor(a, nb, c, oh, ow)
+	osz := c * oh * ow
 	norm := float32(p.Kernel * p.Kernel)
-	for ci := 0; ci < c; ci++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var sum float32
-				for ky := 0; ky < p.Kernel; ky++ {
-					for kx := 0; kx < p.Kernel; kx++ {
-						sum += x.At3(ci, oy*p.Stride+ky, ox*p.Stride+kx)
+	for n := 0; n < nb; n++ {
+		img := x.Data[n*sz : (n+1)*sz]
+		o := out.Data[n*osz : (n+1)*osz]
+		for ci := 0; ci < c; ci++ {
+			plane := img[ci*h*w : (ci+1)*h*w]
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					var sum float32
+					for ky := 0; ky < p.Kernel; ky++ {
+						row := plane[(oy*p.Stride+ky)*w+ox*p.Stride:]
+						for kx := 0; kx < p.Kernel; kx++ {
+							sum += row[kx]
+						}
 					}
+					o[(ci*oh+oy)*ow+ox] = sum / norm
 				}
-				out.Set3(ci, oy, ox, sum/norm)
 			}
 		}
 	}
@@ -252,59 +227,51 @@ type MaxPool2D struct {
 // Name returns the layer label.
 func (p *MaxPool2D) Name() string { return p.Label }
 
-// Forward applies max pooling with implicit valid padding.
-func (p *MaxPool2D) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return p.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (p *MaxPool2D) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return p.forward(a, inputs...)
-}
-
-func (p *MaxPool2D) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+// Forward applies max pooling with implicit valid padding, seeding each
+// window with its top-left element and scanning ky→kx.
+func (p *MaxPool2D) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x := inputs[0]
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	nb, sz := batchDims(x)
+	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := (h-p.Kernel)/p.Stride + 1
 	ow := (w-p.Kernel)/p.Stride + 1
-	out := outTensor(a, c, oh, ow)
-	for ci := 0; ci < c; ci++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := x.At3(ci, oy*p.Stride, ox*p.Stride)
-				for ky := 0; ky < p.Kernel; ky++ {
-					for kx := 0; kx < p.Kernel; kx++ {
-						if v := x.At3(ci, oy*p.Stride+ky, ox*p.Stride+kx); v > best {
-							best = v
+	out := outTensor(a, nb, c, oh, ow)
+	osz := c * oh * ow
+	for n := 0; n < nb; n++ {
+		img := x.Data[n*sz : (n+1)*sz]
+		o := out.Data[n*osz : (n+1)*osz]
+		for ci := 0; ci < c; ci++ {
+			plane := img[ci*h*w : (ci+1)*h*w]
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					best := plane[(oy*p.Stride)*w+ox*p.Stride]
+					for ky := 0; ky < p.Kernel; ky++ {
+						row := plane[(oy*p.Stride+ky)*w+ox*p.Stride:]
+						for kx := 0; kx < p.Kernel; kx++ {
+							if v := row[kx]; v > best {
+								best = v
+							}
 						}
 					}
+					o[(ci*oh+oy)*ow+ox] = best
 				}
-				out.Set3(ci, oy, ox, best)
 			}
 		}
 	}
 	return out
 }
 
-// Flatten reshapes any tensor into a vector.
+// Flatten reshapes each image of a batch into a vector: [N, ...] → [N, F].
 type Flatten struct{ Label string }
 
 // Name returns the layer label.
 func (f *Flatten) Name() string { return f.Label }
 
-// Forward returns a rank-1 view-copy of the input.
-func (f *Flatten) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return f.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (f *Flatten) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return f.forward(a, inputs...)
-}
-
-func (f *Flatten) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+// Forward returns a rank-2 copy of the input.
+func (f *Flatten) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x := inputs[0]
-	out := outTensor(a, x.Len())
+	nb, sz := batchDims(x)
+	out := outTensor(a, nb, sz)
 	copy(out.Data, x.Data)
 	return out
 }
@@ -324,26 +291,27 @@ type ShortcutA struct {
 // Name returns the layer label.
 func (s *ShortcutA) Name() string { return s.Label }
 
-// Forward subsamples spatially and zero-pads channels.
-func (s *ShortcutA) Forward(inputs ...*tensor.Tensor) *tensor.Tensor {
-	return s.forward(nil, inputs...)
-}
-
-// ForwardArena implements ArenaLayer.
-func (s *ShortcutA) ForwardArena(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
-	return s.forward(a, inputs...)
-}
-
-func (s *ShortcutA) forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
+// Forward subsamples spatially and zero-pads channels: channels ≥ the
+// input's stay at the output's zero fill.
+func (s *ShortcutA) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tensor {
 	x := inputs[0]
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	nb, sz := batchDims(x)
+	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := (h + s.Stride - 1) / s.Stride
 	ow := (w + s.Stride - 1) / s.Stride
-	out := outTensor(a, s.OutC, oh, ow)
-	for ci := 0; ci < c && ci < s.OutC; ci++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				out.Set3(ci, oy, ox, x.At3(ci, oy*s.Stride, ox*s.Stride))
+	out := outTensor(a, nb, s.OutC, oh, ow)
+	osz := s.OutC * oh * ow
+	for n := 0; n < nb; n++ {
+		img := x.Data[n*sz : (n+1)*sz]
+		o := out.Data[n*osz : (n+1)*osz]
+		for ci := 0; ci < c && ci < s.OutC; ci++ {
+			plane := img[ci*h*w : (ci+1)*h*w]
+			for oy := 0; oy < oh; oy++ {
+				row := plane[(oy*s.Stride)*w:]
+				orow := o[(ci*oh+oy)*ow:]
+				for ox := 0; ox < ow; ox++ {
+					orow[ox] = row[ox*s.Stride]
+				}
 			}
 		}
 	}

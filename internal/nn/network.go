@@ -29,19 +29,17 @@ type Network struct {
 
 	weightNodes []int // node indices of WeightLayers, in graph order
 
-	// scratch is the network's private arena for ExecFromScratch, created
-	// lazily and never shared: Clone always hands out a clone with a nil
-	// arena, so each worker's network grows its own. The concurrency-safe
-	// Exec/ExecFrom paths never touch it.
+	// The arena executors' private state, created lazily and never
+	// shared: Clone always hands out a clone without it, so each
+	// worker's network grows its own. The concurrency-safe heap paths
+	// (Exec, ExecFrom, ExecBatch) never touch it.
+	//   - scratch is the arena the outputs are drawn from;
+	//   - ins is the reusable layer-input buffer;
+	//   - views holds the reusable headers of ExecFromScratch's
+	//     per-image adapter.
 	scratch *tensor.Arena
-	// insScratch is the reusable layer-input buffer of the arena execution
-	// path. Same ownership rule as scratch: single-owner only.
-	insScratch []*tensor.Tensor
-
-	// batchPar is the goroutine budget handed to BatchLayer kernels by
-	// the batched executors; 0 and 1 both mean serial (see
-	// SetBatchParallelism).
-	batchPar int
+	ins     []*tensor.Tensor
+	views   *imageViews
 }
 
 // NewNetwork creates an empty network with the given name.
@@ -104,13 +102,13 @@ func (n *Network) TotalWeights() int {
 // clones, while stateless layers (activations, pooling, shortcuts,
 // batch normalization) are shared read-only. Lazily folded state
 // (BatchNorm2D's scale/shift) is folded eagerly first, so the shared
-// layers are never written after cloning — Forward on the original and
-// any number of clones may then run concurrently. The clone starts with
-// no scratch arena: each owner's ExecFromScratch grows its own, so
-// arena state is never shared between clones. It panics if a weight
-// layer does not implement WeightCloner.
+// layers are never written after cloning — the original and any number
+// of clones may then run concurrently. The clone starts with no scratch
+// arena: each owner's arena executors grow their own, so arena state is
+// never shared between clones. It panics if a weight layer does not
+// implement WeightCloner.
 func (n *Network) Clone() *Network {
-	c := &Network{NetName: n.NetName, batchPar: n.batchPar}
+	c := &Network{NetName: n.NetName}
 	c.Nodes = append([]Node(nil), n.Nodes...)
 	c.weightNodes = append([]int(nil), n.weightNodes...)
 	for _, node := range n.Nodes {
@@ -129,10 +127,10 @@ func (n *Network) Clone() *Network {
 }
 
 // ScratchArena returns the network's private scratch arena, creating it
-// on first use. The arena (and therefore ExecFromScratch) may only be
-// used by the network's single owner; evaluators that share a network
-// across goroutines must stay on Exec/ExecFrom. See tensor.Arena for the
-// invalidation rules.
+// on first use. The arena (and therefore ExecFromScratch and
+// ExecBatchFromScratchChannel) may only be used by the network's single
+// owner; evaluators that share a network across goroutines must stay on
+// the heap paths. See tensor.Arena for the invalidation rules.
 func (n *Network) ScratchArena() *tensor.Arena {
 	if n.scratch == nil {
 		n.scratch = tensor.NewArena()
@@ -147,12 +145,13 @@ func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return outs[len(outs)-1]
 }
 
-// Exec runs the network and returns every node's output (index-aligned
-// with Nodes). The returned slice is a fresh allocation and can be kept
-// as a prefix cache for ExecFrom.
+// Exec runs the network on one CHW image and returns every node's
+// output (index-aligned with Nodes), shaped per image: CHW feature maps
+// and rank-1 vectors. The returned slice is a fresh allocation and can
+// be kept as a prefix cache for ExecFrom.
 func (n *Network) Exec(x *tensor.Tensor) []*tensor.Tensor {
 	outs := make([]*tensor.Tensor, len(n.Nodes))
-	n.execRange(x, outs, 0, nil)
+	n.execImage(x, outs, 0, newImageViews(len(n.Nodes)), nil)
 	return outs
 }
 
@@ -161,185 +160,90 @@ func (n *Network) Exec(x *tensor.Tensor) []*tensor.Tensor {
 // produced by Exec (or ExecFrom) for the same input x; nodes ≥ from are
 // overwritten. It returns the network output.
 //
-// This is the prefix-caching optimization of the fault injector: a fault
-// in weight layer l only invalidates nodes ≥ WeightNodeIndex(l), so the
+// Prefix caching is what makes fault injection affordable: a fault in
+// weight layer l only invalidates nodes ≥ WeightNodeIndex(l), so the
 // activations feeding that layer need not be recomputed for every fault.
 func (n *Network) ExecFrom(x *tensor.Tensor, cache []*tensor.Tensor, from int) *tensor.Tensor {
-	if len(cache) != len(n.Nodes) {
-		panic(fmt.Sprintf("nn: cache length %d does not match %d nodes", len(cache), len(n.Nodes)))
-	}
-	if from < 0 {
-		from = 0
-	}
-	n.execRange(x, cache, from, nil)
+	n.checkCache(cache)
+	n.execImage(x, cache, from, newImageViews(len(n.Nodes)), nil)
 	return cache[len(cache)-1]
 }
 
 // ExecFromScratch is ExecFrom with every recomputed node output (and any
 // layer-internal workspace) drawn from the network's scratch arena
 // instead of the heap. After a warm-up pass per distinct input shape the
-// call performs zero heap allocations — this is the fault injection hot
-// path, where the same suffix of the graph runs once per experiment.
+// call performs zero heap allocations.
 //
 // The arena is Reset on entry, so tensors written into cache by a
-// previous ExecFromScratch call are invalid the moment the next call
-// starts: callers must re-copy their golden prefix into cache before
-// every call (the injector does) and must not retain entries at indices
-// ≥ from across calls. Single-owner only — see ScratchArena.
+// previous arena call are invalid the moment the next call starts:
+// callers must re-copy their golden prefix into cache before every call
+// and must not retain entries at indices ≥ from across calls.
+// Single-owner only — see ScratchArena.
 func (n *Network) ExecFromScratch(x *tensor.Tensor, cache []*tensor.Tensor, from int) *tensor.Tensor {
-	if len(cache) != len(n.Nodes) {
-		panic(fmt.Sprintf("nn: cache length %d does not match %d nodes", len(cache), len(n.Nodes)))
-	}
-	if from < 0 {
-		from = 0
-	}
+	n.checkCache(cache)
 	a := n.ScratchArena()
 	a.Reset()
-	n.execRange(x, cache, from, a)
+	if n.views == nil {
+		n.views = newImageViews(len(n.Nodes))
+	}
+	n.execImage(x, cache, from, n.views, a)
 	return cache[len(cache)-1]
-}
-
-func (n *Network) execRange(x *tensor.Tensor, outs []*tensor.Tensor, from int, a *tensor.Arena) {
-	for i := from; i < len(n.Nodes); i++ {
-		node := &n.Nodes[i]
-		var ins []*tensor.Tensor
-		if a != nil {
-			// Arena path: single-owner by contract, so the input buffer
-			// can be reused across nodes (and calls) without allocating.
-			if cap(n.insScratch) < len(node.Inputs) {
-				n.insScratch = make([]*tensor.Tensor, len(node.Inputs))
-			}
-			ins = n.insScratch[:len(node.Inputs)]
-		} else {
-			ins = make([]*tensor.Tensor, len(node.Inputs))
-		}
-		for j, src := range node.Inputs {
-			if src == InputID {
-				ins[j] = x
-			} else {
-				ins[j] = outs[src]
-			}
-		}
-		if a != nil {
-			if al, ok := node.Layer.(ArenaLayer); ok {
-				outs[i] = al.ForwardArena(a, ins...)
-				continue
-			}
-		}
-		outs[i] = node.Layer.Forward(ins...)
-	}
-}
-
-// SetBatchParallelism sets the goroutine budget the batched executors
-// hand to each BatchLayer call. The default (1) runs every kernel
-// serially, which keeps the arena hot path allocation-free; par > 1
-// trades per-call goroutine spawns (which allocate) for wall time on
-// multi-core hosts. Results are bit-identical at any setting: each
-// output element is computed by exactly one goroutine in the same
-// serial order. Clones inherit the setting.
-func (n *Network) SetBatchParallelism(par int) {
-	if par < 1 {
-		par = 1
-	}
-	n.batchPar = par
 }
 
 // ExecBatch runs the network on a batched input (leading N dimension)
 // and returns every node's batched output, heap-allocated — the batched
-// counterpart of Exec, usable as a prefix cache for ExecBatchFrom.
+// counterpart of Exec, usable as a golden cache for
+// ExecBatchFromScratchChannel.
 func (n *Network) ExecBatch(x *tensor.Tensor) []*tensor.Tensor {
 	outs := make([]*tensor.Tensor, len(n.Nodes))
-	n.execBatchRange(x, outs, 0, nil)
+	n.run(x, outs, 0, -1, nil)
 	return outs
 }
 
-// ExecBatchFrom is ExecFrom for a batched input: it re-executes nodes
-// ≥ from against the batched prefix cache and returns the batched
-// network output ([N, classes]).
-func (n *Network) ExecBatchFrom(x *tensor.Tensor, cache []*tensor.Tensor, from int) *tensor.Tensor {
-	if len(cache) != len(n.Nodes) {
-		panic(fmt.Sprintf("nn: cache length %d does not match %d nodes", len(cache), len(n.Nodes)))
-	}
-	if from < 0 {
-		from = 0
-	}
-	n.execBatchRange(x, cache, from, nil)
-	return cache[len(cache)-1]
-}
-
-// ExecBatchFromScratch is ExecBatchFrom with every recomputed node
-// output drawn from the network's scratch arena — the batched injection
-// hot path. It shares the arena (and its single-owner contract and
-// re-copy-before-every-call cache rule) with ExecFromScratch; see that
-// method and docs/ARCHITECTURE.md for the ownership rules. With batch
-// parallelism at its default of 1, the steady state performs zero heap
-// allocations.
-func (n *Network) ExecBatchFromScratch(x *tensor.Tensor, cache []*tensor.Tensor, from int) *tensor.Tensor {
-	if len(cache) != len(n.Nodes) {
-		panic(fmt.Sprintf("nn: cache length %d does not match %d nodes", len(cache), len(n.Nodes)))
-	}
-	if from < 0 {
-		from = 0
-	}
-	a := n.ScratchArena()
-	a.Reset()
-	n.execBatchRange(x, cache, from, a)
-	return cache[len(cache)-1]
-}
-
-// ExecBatchFromScratchChannel is ExecBatchFromScratch specialised for a
-// single-weight fault: the caller asserts that, relative to the golden
-// cache, the network's weights differ only inside node from's layer and
-// only in the rows feeding that layer's output channel oc. When that
-// node is a single-input Conv2D, its recomputation copies every other
-// channel's plane from the golden cache entry and recomputes channel oc
-// alone — bit-identical to a full recompute, since each output channel
-// accumulates independently from its own (untouched) weight rows.
-// Any other layer shape, or oc < 0, falls back to a full ExecBatchFrom
-// of node from. Downstream nodes are always fully recomputed.
+// ExecBatchFromScratchChannel re-executes nodes ≥ from of a batched
+// input against the batched golden cache, drawing every recomputed
+// output from the network's scratch arena — the injection hot path,
+// under ExecFromScratch's arena contract. It returns the batched network
+// output ([N, classes]).
+//
+// oc is a channel hint for a single-weight fault: the caller asserts
+// that, relative to the golden cache, the network's weights differ only
+// inside node from's layer and only in the rows feeding that layer's
+// output channel oc. When that node is a single-input Conv2D, its
+// recomputation copies every other channel's plane from the golden
+// cache entry and recomputes channel oc alone — bit-identical to a full
+// recompute, since each output channel accumulates independently from
+// its own (untouched) weight rows. Any other layer, or oc < 0,
+// recomputes node from in full. Downstream nodes are always fully
+// recomputed.
 func (n *Network) ExecBatchFromScratchChannel(x *tensor.Tensor, cache []*tensor.Tensor, from, oc int) *tensor.Tensor {
-	if len(cache) != len(n.Nodes) {
-		panic(fmt.Sprintf("nn: cache length %d does not match %d nodes", len(cache), len(n.Nodes)))
-	}
-	if from < 0 {
-		from = 0
-	}
+	n.checkCache(cache)
 	a := n.ScratchArena()
 	a.Reset()
-	if oc >= 0 && from < len(n.Nodes) {
-		node := &n.Nodes[from]
-		if c, ok := node.Layer.(*Conv2D); ok && oc < c.OutC && len(node.Inputs) == 1 {
-			par := n.batchPar
-			if par < 1 {
-				par = 1
-			}
-			in := x
-			if src := node.Inputs[0]; src != InputID {
-				in = cache[src]
-			}
-			golden := cache[from]
-			cache[from] = c.forwardBatchChannel(a, par, in, golden, oc)
-			n.execBatchRange(x, cache, from+1, a)
-			return cache[len(cache)-1]
-		}
-	}
-	n.execBatchRange(x, cache, from, a)
+	n.run(x, cache, from, oc, a)
 	return cache[len(cache)-1]
 }
 
-func (n *Network) execBatchRange(x *tensor.Tensor, outs []*tensor.Tensor, from int, a *tensor.Arena) {
-	par := n.batchPar
-	if par < 1 {
-		par = 1
+func (n *Network) checkCache(cache []*tensor.Tensor) {
+	if len(cache) != len(n.Nodes) {
+		panic(fmt.Sprintf("nn: cache length %d does not match %d nodes", len(cache), len(n.Nodes)))
 	}
-	for i := from; i < len(n.Nodes); i++ {
+}
+
+// run is the network's one executor: it executes nodes ≥ from on the
+// batched input x, writing each node's batched output into outs, from
+// the arena a when it is non-nil (single-owner) and from the heap
+// otherwise (safe on a network shared across goroutines). oc ≥ 0 is
+// ExecBatchFromScratchChannel's channel hint for node from.
+func (n *Network) run(x *tensor.Tensor, outs []*tensor.Tensor, from, oc int, a *tensor.Arena) {
+	for i := max(from, 0); i < len(n.Nodes); i++ {
 		node := &n.Nodes[i]
 		var ins []*tensor.Tensor
 		if a != nil {
-			if cap(n.insScratch) < len(node.Inputs) {
-				n.insScratch = make([]*tensor.Tensor, len(node.Inputs))
+			if cap(n.ins) < len(node.Inputs) {
+				n.ins = make([]*tensor.Tensor, len(node.Inputs))
 			}
-			ins = n.insScratch[:len(node.Inputs)]
+			ins = n.ins[:len(node.Inputs)]
 		} else {
 			ins = make([]*tensor.Tensor, len(node.Inputs))
 		}
@@ -350,35 +254,68 @@ func (n *Network) execBatchRange(x *tensor.Tensor, outs []*tensor.Tensor, from i
 				ins[j] = outs[src]
 			}
 		}
-		if bl, ok := node.Layer.(BatchLayer); ok {
-			outs[i] = bl.ForwardBatch(a, par, ins...)
-			continue
+		if i == from && oc >= 0 && len(ins) == 1 {
+			if c, ok := node.Layer.(*Conv2D); ok && oc < c.OutC {
+				outs[i] = c.convolve(a, ins[0], outs[i], oc)
+				continue
+			}
 		}
-		outs[i] = forwardPerImage(node.Layer, ins)
+		outs[i] = node.Layer.Forward(a, ins...)
 	}
 }
 
-// forwardPerImage is the batched executor's fallback for out-of-tree
-// layers without BatchLayer support: the layer's Forward runs once per
-// image on heap-allocated views and the results are stacked. It
-// allocates — only in-tree BatchLayer kernels are on the
-// allocation-free hot path.
-func forwardPerImage(l Layer, ins []*tensor.Tensor) *tensor.Tensor {
-	nb := ins[0].Shape[0]
-	views := make([]*tensor.Tensor, len(ins))
-	var out *tensor.Tensor
-	for img := 0; img < nb; img++ {
-		for j, in := range ins {
-			sz := in.Len() / in.Shape[0]
-			views[j] = &tensor.Tensor{Shape: in.Shape[1:], Data: in.Data[img*sz : (img+1)*sz]}
-		}
-		y := l.Forward(views...)
-		if out == nil {
-			out = tensor.New(append([]int{nb}, y.Shape...)...)
-		}
-		copy(out.Data[img*y.Len():(img+1)*y.Len()], y.Data)
+// imageViews are the tensor headers through which the per-image
+// executors present a CHW image and its per-image cache to run as batch
+// 1, and hand run's batch-1 outputs back shaped per image. Only headers
+// are made: every view shares its tensor's data.
+type imageViews struct {
+	in      []batchView      // batch-1 views of the cached prefix; the last one is x's
+	batched []*tensor.Tensor // the batch-1 cache run executes on
+	out     []tensor.Tensor  // per-image views of run's outputs
+}
+
+// batchView is a reusable batch-1 view header together with its shape
+// storage.
+type batchView struct {
+	t     tensor.Tensor
+	shape []int
+}
+
+func newImageViews(nodes int) *imageViews {
+	return &imageViews{
+		in:      make([]batchView, nodes+1),
+		batched: make([]*tensor.Tensor, nodes),
+		out:     make([]tensor.Tensor, nodes),
 	}
-	return out
+}
+
+// of returns t viewed as a batch of one ([1, t.Shape...]), or nil for a
+// nil t.
+func (v *batchView) of(t *tensor.Tensor) *tensor.Tensor {
+	if t == nil {
+		return nil
+	}
+	v.shape = append(append(v.shape[:0], 1), t.Shape...)
+	v.t = tensor.Tensor{Shape: v.shape, Data: t.Data}
+	return &v.t
+}
+
+// execImage is the per-image adapter over run, making its headers in
+// v. The arena path passes the network's own views (single-owner, so it
+// allocates nothing once warm); the heap paths pass fresh ones, so they
+// stay safe on a shared network and their outputs stay valid for as
+// long as the caller keeps them.
+func (n *Network) execImage(x *tensor.Tensor, cache []*tensor.Tensor, from int, v *imageViews, a *tensor.Arena) {
+	from = min(max(from, 0), len(n.Nodes))
+	for i, t := range cache[:from] {
+		v.batched[i] = v.in[i].of(t)
+	}
+	n.run(v.in[len(n.Nodes)].of(x), v.batched, from, -1, a)
+	for i := from; i < len(n.Nodes); i++ {
+		b := v.batched[i]
+		v.out[i] = tensor.Tensor{Shape: b.Shape[1:], Data: b.Data}
+		cache[i] = &v.out[i]
+	}
 }
 
 // Predict returns the top-1 class index for one input.

@@ -9,9 +9,14 @@ import (
 	"cnnsfi/internal/tensor"
 )
 
-// naiveConv is an obviously-correct reference convolution used to verify
-// the optimized Conv2D.Forward.
-func naiveConv(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
+// naiveConv is an obviously-correct reference convolution of one CHW
+// image that is also bit-exact: it accumulates each output element in
+// float32 in the production tap order — (input channel, ky, kx)
+// ascending, zero weights skipped, bias added last — and treats padding
+// taps the way the selected algorithm does: direct skips them, im2col
+// multiplies them by zero. For NaN and ±Inf weights the two differ, so
+// the reference takes the algorithm as a parameter.
+func naiveConv(c *Conv2D, x *tensor.Tensor, im2col bool) *tensor.Tensor {
 	h, w := x.Shape[1], x.Shape[2]
 	oh := (h+2*c.Pad-c.KH)/c.Stride + 1
 	ow := (w+2*c.Pad-c.KW)/c.Stride + 1
@@ -22,25 +27,31 @@ func naiveConv(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 		g := oc / ocg
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				var sum float64
+				var sum float32
 				for icl := 0; icl < icg; icl++ {
 					ic := g*icg + icl
 					for ky := 0; ky < c.KH; ky++ {
 						for kx := 0; kx < c.KW; kx++ {
-							iy := oy*c.Stride + ky - c.Pad
-							ix := ox*c.Stride + kx - c.Pad
-							if iy < 0 || iy >= h || ix < 0 || ix >= w {
+							wv := c.W[((oc*icg+icl)*c.KH+ky)*c.KW+kx]
+							if wv == 0 {
 								continue
 							}
-							wv := c.W[((oc*icg+icl)*c.KH+ky)*c.KW+kx]
-							sum += float64(wv) * float64(x.At3(ic, iy, ix))
+							var v float32 // a padding tap reads zero
+							iy := oy*c.Stride + ky - c.Pad
+							ix := ox*c.Stride + kx - c.Pad
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								v = x.At3(ic, iy, ix)
+							} else if !im2col {
+								continue
+							}
+							sum += wv * v
 						}
 					}
 				}
 				if c.Bias != nil {
-					sum += float64(c.Bias[oc])
+					sum += c.Bias[oc]
 				}
-				out.Set3(oc, oy, ox, float32(sum))
+				out.Set3(oc, oy, ox, sum)
 			}
 		}
 	}
@@ -65,6 +76,37 @@ func tensorsClose(t *testing.T, got, want *tensor.Tensor, tol float64) {
 	}
 }
 
+// stack stacks CHW images into one NCHW batch.
+func stack(imgs ...*tensor.Tensor) *tensor.Tensor {
+	sz := imgs[0].Len()
+	x := tensor.New(append([]int{len(imgs)}, imgs[0].Shape...)...)
+	for n, img := range imgs {
+		copy(x.Data[n*sz:(n+1)*sz], img.Data)
+	}
+	return x
+}
+
+// bitsEqual fails unless got's per-image slice n equals want bit for
+// bit (NaN payloads included).
+func bitsEqual(t *testing.T, got *tensor.Tensor, n int, want *tensor.Tensor) {
+	t.Helper()
+	sz := want.Len()
+	if got.Len() < (n+1)*sz {
+		t.Fatalf("output shape %v too small for image %d of shape %v", got.Shape, n, want.Shape)
+	}
+	for i, wv := range want.Data {
+		if g, e := math.Float32bits(got.Data[n*sz+i]), math.Float32bits(wv); g != e {
+			t.Fatalf("image %d elem %d: %08x, want %08x", n, i, g, e)
+		}
+	}
+}
+
+// TestConv2DMatchesNaive compares the conv kernel with the bit-exact
+// float32 reference, at batch 1 and batch 3, on both algorithms
+// wherever both apply — first with finite weights, then with a NaN, a
+// +Inf and a −Inf weight planted in three different output channels
+// (one non-finite source per output element, so every NaN payload is
+// determined by the tap order alone).
 func TestConv2DMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := []struct {
@@ -90,9 +132,34 @@ func TestConv2DMatchesNaive(t *testing.T) {
 				c.Bias = make([]float32, tc.outC)
 				randomize(rng, c.Bias, 0.5)
 			}
-			x := tensor.New(tc.inC, tc.h, tc.w)
-			randomize(rng, x.Data, 1)
-			tensorsClose(t, c.Forward(x), naiveConv(c, x), 1e-4)
+			imgs := make([]*tensor.Tensor, 3)
+			for i := range imgs {
+				imgs[i] = tensor.New(tc.inC, tc.h, tc.w)
+				randomize(rng, imgs[i].Data, 1)
+			}
+			algos := []ConvAlgo{ConvDirect}
+			if tc.gr == 1 {
+				algos = append(algos, ConvIm2col)
+			}
+			check := func() {
+				t.Helper()
+				for _, algo := range append(algos, ConvAuto) {
+					c.Algo = algo
+					im2col := c.useIm2col(c.OutSize(tc.h), c.OutSize(tc.w))
+					for _, nb := range []int{1, 3} {
+						got := c.Forward(nil, stack(imgs[:nb]...))
+						for n := 0; n < nb; n++ {
+							bitsEqual(t, got, n, naiveConv(c, imgs[n], im2col))
+						}
+					}
+				}
+			}
+			check()
+			ksize := len(c.W) / tc.outC
+			c.W[0] = float32(math.NaN())
+			c.W[ksize+ksize/2] = float32(math.Inf(1))
+			c.W[2*ksize+ksize-1] = float32(math.Inf(-1))
+			check()
 		})
 	}
 }
@@ -101,8 +168,8 @@ func TestConv2DKnownValue(t *testing.T) {
 	// 1-channel 1x1 kernel = scalar multiply.
 	c := NewConv2D("id", 1, 1, 1, 1, 0, 1)
 	c.W[0] = 2
-	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
-	out := c.Forward(x)
+	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
+	out := c.Forward(nil, x)
 	want := []float32{2, 4, 6, 8}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -138,19 +205,19 @@ func TestConv2DPanicsOnWrongChannels(t *testing.T) {
 			t.Error("wrong channel count did not panic")
 		}
 	}()
-	c.Forward(tensor.New(4, 8, 8))
+	c.Forward(nil, tensor.New(1, 4, 8, 8))
 }
 
 func TestLinear(t *testing.T) {
 	l := NewLinear("fc", 3, 2)
 	copy(l.W, []float32{1, 2, 3, 4, 5, 6})
-	x := tensor.FromSlice([]float32{1, 1, 1}, 3)
-	out := l.Forward(x)
+	x := tensor.FromSlice([]float32{1, 1, 1}, 1, 3)
+	out := l.Forward(nil, x)
 	if out.Data[0] != 6 || out.Data[1] != 15 {
 		t.Errorf("linear = %v", out.Data)
 	}
 	l.Bias = []float32{10, 20}
-	out = l.Forward(x)
+	out = l.Forward(nil, x)
 	if out.Data[0] != 16 || out.Data[1] != 35 {
 		t.Errorf("biased linear = %v", out.Data)
 	}
@@ -163,12 +230,12 @@ func TestLinearPanicsOnBadInput(t *testing.T) {
 			t.Error("bad linear input did not panic")
 		}
 	}()
-	l.Forward(tensor.New(4))
+	l.Forward(nil, tensor.New(1, 4))
 }
 
 func TestReLU(t *testing.T) {
 	r := &ReLU{Label: "relu"}
-	out := r.Forward(tensor.FromSlice([]float32{-1, 0, 2.5}, 3))
+	out := r.Forward(nil, tensor.FromSlice([]float32{-1, 0, 2.5}, 1, 3))
 	if out.Data[0] != 0 || out.Data[1] != 0 || out.Data[2] != 2.5 {
 		t.Errorf("relu = %v", out.Data)
 	}
@@ -176,7 +243,7 @@ func TestReLU(t *testing.T) {
 
 func TestReLU6(t *testing.T) {
 	r := &ReLU6{Label: "relu6"}
-	out := r.Forward(tensor.FromSlice([]float32{-1, 3, 7, 6}, 4))
+	out := r.Forward(nil, tensor.FromSlice([]float32{-1, 3, 7, 6}, 1, 4))
 	want := []float32{0, 3, 6, 6}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -187,9 +254,9 @@ func TestReLU6(t *testing.T) {
 
 func TestAdd(t *testing.T) {
 	a := &Add{Label: "add"}
-	x := tensor.FromSlice([]float32{1, 2}, 2)
-	y := tensor.FromSlice([]float32{10, 20}, 2)
-	out := a.Forward(x, y)
+	x := tensor.FromSlice([]float32{1, 2}, 1, 2)
+	y := tensor.FromSlice([]float32{10, 20}, 1, 2)
+	out := a.Forward(nil, x, y)
 	if out.Data[0] != 11 || out.Data[1] != 22 {
 		t.Errorf("add = %v", out.Data)
 	}
@@ -202,13 +269,13 @@ func TestAddPanicsOnShapeMismatch(t *testing.T) {
 			t.Error("mismatched add did not panic")
 		}
 	}()
-	a.Forward(tensor.New(2), tensor.New(3))
+	a.Forward(nil, tensor.New(1, 2), tensor.New(1, 3))
 }
 
 func TestGlobalAvgPool(t *testing.T) {
 	g := &GlobalAvgPool{Label: "gap"}
-	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 2, 2, 2)
-	out := g.Forward(x)
+	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
+	out := g.Forward(nil, x)
 	if out.Data[0] != 2.5 || out.Data[1] != 25 {
 		t.Errorf("gap = %v", out.Data)
 	}
@@ -216,8 +283,8 @@ func TestGlobalAvgPool(t *testing.T) {
 
 func TestAvgPool2D(t *testing.T) {
 	p := &AvgPool2D{Label: "avg", Kernel: 2, Stride: 2}
-	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1, 4, 4)
-	out := p.Forward(x)
+	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1, 1, 4, 4)
+	out := p.Forward(nil, x)
 	want := []float32{3.5, 5.5, 11.5, 13.5}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -228,8 +295,8 @@ func TestAvgPool2D(t *testing.T) {
 
 func TestMaxPool2D(t *testing.T) {
 	p := &MaxPool2D{Label: "max", Kernel: 2, Stride: 2}
-	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1, 4, 4)
-	out := p.Forward(x)
+	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1, 1, 4, 4)
+	out := p.Forward(nil, x)
 	want := []float32{6, 8, 14, 16}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -240,8 +307,8 @@ func TestMaxPool2D(t *testing.T) {
 
 func TestFlatten(t *testing.T) {
 	f := &Flatten{Label: "flat"}
-	out := f.Forward(tensor.New(2, 3, 4))
-	if out.Rank() != 1 || out.Len() != 24 {
+	out := f.Forward(nil, tensor.New(1, 2, 3, 4))
+	if out.Rank() != 2 || out.Shape[0] != 1 || out.Len() != 24 {
 		t.Errorf("flatten shape = %v", out.Shape)
 	}
 }
@@ -253,13 +320,13 @@ func TestShortcutA(t *testing.T) {
 		5, 6, 7, 8,
 		9, 10, 11, 12,
 		13, 14, 15, 16,
-	}, 1, 4, 4)
-	out := s.Forward(x)
-	if out.Shape[0] != 4 || out.Shape[1] != 2 || out.Shape[2] != 2 {
+	}, 1, 1, 4, 4)
+	out := s.Forward(nil, x)
+	if out.Shape[0] != 1 || out.Shape[1] != 4 || out.Shape[2] != 2 || out.Shape[3] != 2 {
 		t.Fatalf("shortcut shape = %v", out.Shape)
 	}
 	// Subsampled first channel takes every other pixel.
-	if out.At3(0, 0, 0) != 1 || out.At3(0, 0, 1) != 3 || out.At3(0, 1, 0) != 9 || out.At3(0, 1, 1) != 11 {
+	if out.At4(0, 0, 0, 0) != 1 || out.At4(0, 0, 0, 1) != 3 || out.At4(0, 0, 1, 0) != 9 || out.At4(0, 0, 1, 1) != 11 {
 		t.Errorf("shortcut data wrong: %v", out.Data[:4])
 	}
 	// Padded channels are zero.
@@ -280,8 +347,8 @@ func TestBatchNorm2D(t *testing.T) {
 	bn.Var = []float32{4, 1}
 	bn.Eps = 0
 	bn.Refold()
-	x := tensor.FromSlice([]float32{3, 5, 2, 4}, 2, 2, 1)
-	out := bn.Forward(x)
+	x := tensor.FromSlice([]float32{3, 5, 2, 4}, 1, 2, 2, 1)
+	out := bn.Forward(nil, x)
 	// channel0: 2*(x-1)/2+1 = x  → 3, 5
 	if math.Abs(float64(out.Data[0]-3)) > 1e-5 || math.Abs(float64(out.Data[1]-5)) > 1e-5 {
 		t.Errorf("bn channel0 = %v", out.Data[:2])
@@ -296,8 +363,8 @@ func TestBatchNormIdentityDefault(t *testing.T) {
 	bn := NewBatchNorm2D("bn", 1)
 	bn.Eps = 0
 	bn.Refold()
-	x := tensor.FromSlice([]float32{1.5, -2}, 1, 2, 1)
-	out := bn.Forward(x)
+	x := tensor.FromSlice([]float32{1.5, -2}, 1, 1, 2, 1)
+	out := bn.Forward(nil, x)
 	if out.Data[0] != 1.5 || out.Data[1] != -2 {
 		t.Errorf("default bn not identity: %v", out.Data)
 	}
@@ -437,11 +504,11 @@ func BenchmarkConv2D3x3(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	c := NewConv2D("bench", 16, 16, 3, 1, 1, 1)
 	randomize(rng, c.W, 0.2)
-	x := tensor.New(16, 32, 32)
+	x := tensor.New(1, 16, 32, 32)
 	randomize(rng, x.Data, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Forward(x)
+		c.Forward(nil, x)
 	}
 }
 
@@ -449,11 +516,11 @@ func BenchmarkConv2DDepthwise(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	c := NewConv2D("bench", 32, 32, 3, 1, 1, 32)
 	randomize(rng, c.W, 0.2)
-	x := tensor.New(32, 16, 16)
+	x := tensor.New(1, 32, 16, 16)
 	randomize(rng, x.Data, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Forward(x)
+		c.Forward(nil, x)
 	}
 }
 
@@ -477,13 +544,13 @@ func TestIm2colMatchesDirect(t *testing.T) {
 			c.Bias = make([]float32, tc.outC)
 			randomize(rng, c.Bias, 0.3)
 		}
-		x := tensor.New(tc.inC, tc.h, tc.w)
+		x := tensor.New(1, tc.inC, tc.h, tc.w)
 		randomize(rng, x.Data, 1)
 
 		c.Algo = ConvDirect
-		direct := c.Forward(x)
+		direct := c.Forward(nil, x)
 		c.Algo = ConvIm2col
-		fast := c.Forward(x)
+		fast := c.Forward(nil, x)
 		tensorsClose(t, fast, direct, 1e-4)
 	}
 }
@@ -513,11 +580,11 @@ func BenchmarkConvDirectVsIm2col(b *testing.B) {
 			c := NewConv2D("bench", 16, 16, 3, 1, 1, 1)
 			c.Algo = algo.a
 			randomize(rng, c.W, 0.2)
-			x := tensor.New(16, 32, 32)
+			x := tensor.New(1, 16, 32, 32)
 			randomize(rng, x.Data, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Forward(x)
+				c.Forward(nil, x)
 			}
 		})
 	}
