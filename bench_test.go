@@ -748,6 +748,33 @@ func BenchmarkEngine_Overhead(b *testing.B) {
 	})
 }
 
+// BenchmarkEngine_TableIIIOracle prices one Execute of each of the four
+// ResNet-20 Table III oracle plans (5.59M draws over 1,301 strata) at 2
+// workers, the campaign set of campaignbench's oracle-table3 workload.
+// Oracle verdicts cost ~100 ns, so time and B/op are mostly the
+// engine's own: the streamed draw, sharding, merge and tally. B/op stays
+// bounded by the shard buffers, far below the plans' 45 MB of samples.
+func BenchmarkEngine_TableIIIOracle(b *testing.B) {
+	net, o, _ := resnetFixture(b)
+	space, cfg := o.Space(), sfi.DefaultConfig()
+	plans := []*sfi.Plan{
+		sfi.PlanNetworkWise(space, cfg),
+		sfi.PlanLayerWise(space, cfg),
+		sfi.PlanDataUnaware(space, cfg),
+		sfi.PlanDataAware(space, cfg, sfi.AnalyzeWeights(net.AllWeights()).P),
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, plan := range plans {
+			if _, err := sfi.NewEngine(sfi.WithWorkers(2)).Execute(ctx, o, plan, int64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkEngine_TelemetryOff prices the engine with every telemetry
 // seam left nil — the baseline the telemetry layer must not move. Pair
 // with BenchmarkEngine_TelemetryOn: the Off/On ns/op ratio is the whole

@@ -201,7 +201,7 @@ func (c *client) submit(ctx context.Context, args []string) int {
 	oracleSeed := fs.Int64("oracle-seed", 3, "ground-truth labelling seed")
 	runSeed := fs.Int64("run-seed", 0, "sampling seed")
 	images := fs.Int("images", 8, "evaluation-set size for the inference substrate")
-	workers := fs.Int("workers", 1, "fixed worker count for this campaign (part of its identity)")
+	workers := fs.Int("workers", 1, "worker count for this campaign, clamped to the daemon's pool (the Result is the same at any count)")
 	priority := fs.Int("priority", 0, "queue priority; higher runs first")
 	earlyStop := fs.Float64("early-stop", -1, "stop each stratum at this achieved margin (0 = the requested margin; negative = disabled)")
 	expTimeout := fs.Duration("experiment-timeout", 0, "per-experiment watchdog deadline (0 = none)")

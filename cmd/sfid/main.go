@@ -6,7 +6,7 @@
 // operational surface.
 //
 // Durability: every job persists under -state-dir — the job record, the
-// engine's checkpoint v2 file while interrupted, and the final Result
+// engine's checkpoint file while interrupted, and the final Result
 // document. SIGTERM (or Ctrl-C) drains gracefully: running campaigns
 // write a final checkpoint at their next shard boundary, and the next
 // sfid over the same directory resumes each of them with zero

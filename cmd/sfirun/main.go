@@ -16,8 +16,8 @@
 // produces bit-identical results at any worker count — and across
 // interruption: with -checkpoint set, a campaign killed by -timeout or
 // Ctrl-C persists its per-stratum tallies and a later invocation with
-// -resume continues where it left off, ending in the exact Result an
-// uninterrupted run would have produced. -progress streams per-stratum
+// -resume, at any -workers value, continues where it left off, ending in
+// the exact Result an uninterrupted run would have produced. -progress streams per-stratum
 // completion, running critical tallies, injections/sec, and the
 // evaluator's experiment breakdown (masked-fault skips vs full
 // evaluations, SDC early exits, scratch-arena bytes) to stderr;
@@ -420,8 +420,6 @@ func checkpointHint(err error) string {
 	switch {
 	case errors.Is(err, sfi.ErrCheckpointSeed):
 		return "the checkpoint was written with a different -run-seed; rerun with the original seed, or delete the checkpoint file to start this seed fresh"
-	case errors.Is(err, sfi.ErrCheckpointWorkers):
-		return "the checkpoint was written at a different -workers count; rerun with the original worker count, or delete the checkpoint file to restart"
 	case errors.Is(err, sfi.ErrCheckpointVersion):
 		return "the checkpoint was written by an incompatible sfirun version; delete the checkpoint file to restart the campaign"
 	case errors.Is(err, sfi.ErrCheckpointPlan):

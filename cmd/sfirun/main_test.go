@@ -124,18 +124,17 @@ func TestCLICheckpointHints(t *testing.T) {
 
 	// A zero crc32 is the documented no-checksum escape hatch, so these
 	// hand-written documents parse cleanly and reach the validation.
-	doc := func(version int, seed int64, fingerprint uint64, workers int) string {
-		return fmt.Sprintf(`{"version":%d,"seed":%d,"plan_fingerprint":%d,"workers":%d,"injections":0,"strata":[]}`,
-			version, seed, fingerprint, workers)
+	doc := func(version int, seed int64, fingerprint uint64) string {
+		return fmt.Sprintf(`{"version":%d,"seed":%d,"plan_fingerprint":%d,"injections":0,"strata":[]}`,
+			version, seed, fingerprint)
 	}
 	cases := []struct {
 		name string
 		doc  string
 	}{
-		{"seed", doc(2, 999, fp, 1)},
-		{"workers", doc(2, 0, fp, 7)},
-		{"version", doc(99, 0, fp, 1)},
-		{"plan", doc(2, 0, 1, 1)},
+		{"seed", doc(3, 999, fp)},
+		{"version", doc(99, 0, fp)},
+		{"plan", doc(3, 0, 1)},
 		{"corrupt", `{"version":`},
 	}
 	for _, tc := range cases {

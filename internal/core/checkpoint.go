@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,10 +12,16 @@ import (
 	"cnnsfi/internal/stats"
 )
 
-// checkpointVersion is bumped whenever the on-disk schema changes
-// incompatibly. Version 2 added the CRC, the writing worker count, and
-// the supervision tallies (retries + quarantined faults).
-const checkpointVersion = 2
+// checkpointVersion is bumped whenever the on-disk schema changes.
+// Version 2 added the CRC, the writing worker count, and the supervision
+// tallies (retries + quarantined faults). Version 3 dropped the worker
+// count: shards are cut on the plan's grid, so a checkpoint resumes at
+// any worker count. Version 2 files still load (oldestCheckpointVersion);
+// their worker count is ignored.
+const (
+	checkpointVersion       = 3
+	oldestCheckpointVersion = 2
+)
 
 // checkpointBackupSuffix names the rotated previous checkpoint:
 // writeCheckpoint moves the current file to path+".bak" before
@@ -44,11 +51,6 @@ var (
 	// ErrCheckpointPlan marks a checkpoint whose plan fingerprint (or
 	// stratum count) does not match the campaign being resumed.
 	ErrCheckpointPlan = errors.New("checkpoint plan mismatch")
-	// ErrCheckpointWorkers marks a checkpoint written at a different
-	// worker count: cursors sit on shard boundaries of the writing
-	// count, so resuming at another count would re-split the sample
-	// differently.
-	ErrCheckpointWorkers = errors.New("checkpoint worker-count mismatch")
 	// ErrCheckpointRange marks a checkpoint written for a different
 	// WithDrawRanges vector: cursors are absolute draw positions inside
 	// the writing run's windows, so resuming with other windows (or as a
@@ -58,9 +60,9 @@ var (
 
 // checkpointStratum is one stratum's persisted tally: how many draws of
 // its sample (a pure function of plan + seed) have been evaluated, and
-// what they produced. Cursor always sits on a shard boundary of the
-// worker count that wrote it, so resuming at the same worker count
-// re-evaluates nothing and re-creates the exact shard layout.
+// what they produced. Cursor sits on the plan's shard grid (or at its
+// draw window's end), so a resume at any worker count re-evaluates
+// nothing and cuts the rest of the sample on the same grid.
 type checkpointStratum struct {
 	Cursor    int64                            `json:"cursor"`
 	Successes int64                            `json:"successes"`
@@ -74,16 +76,16 @@ type checkpointStratum struct {
 // silently resumed against a different campaign.
 //
 // Checksum is the IEEE CRC-32 of the document marshalled with Checksum
-// itself zeroed (json.Marshal is deterministic — sorted map keys,
-// shortest-round-trip floats — so the re-marshal on load reproduces the
-// exact bytes). Zero means "no checksum": the 1-in-2^32 honest zero and
-// hand-written test documents both verify trivially.
+// itself zeroed, which omits the leading "crc32" member; the load
+// recomputes it over the file's own bytes with that member cut out (see
+// checksumBody), so documents of every schema version verify. Zero
+// means "no checksum": the 1-in-2^32 honest zero and hand-written test
+// documents both verify trivially.
 type checkpointDoc struct {
 	Checksum    uint32              `json:"crc32,omitempty"`
 	Version     int                 `json:"version"`
 	Seed        int64               `json:"seed"`
 	Fingerprint uint64              `json:"plan_fingerprint"`
-	Workers     int                 `json:"workers"`
 	Injections  int64               `json:"injections"`
 	Retries     int64               `json:"retries,omitempty"`
 	Abandoned   int64               `json:"abandoned,omitempty"`
@@ -121,7 +123,6 @@ func (x *execution) writeCheckpoint(path string) error {
 		Version:     checkpointVersion,
 		Seed:        x.seed,
 		Fingerprint: planFingerprint(x.plan),
-		Workers:     x.workers,
 		Injections:  x.merged,
 		Retries:     x.retries,
 		Abandoned:   x.abandoned,
@@ -164,7 +165,7 @@ func (x *execution) writeCheckpoint(path string) error {
 }
 
 // loadCheckpoint restores per-stratum tallies from a checkpoint written
-// for the same plan, seed, and worker count. A missing file is not an
+// for the same plan, seed, and draw ranges. A missing file is not an
 // error — the campaign simply starts fresh, which makes resume-or-start
 // idempotent for callers. A corrupt (truncated, malformed, CRC-failing)
 // primary falls back to the rotated .bak backup with a one-line
@@ -220,23 +221,42 @@ func readCheckpointDoc(path string) (*checkpointDoc, error) {
 		return nil, fmt.Errorf("core: checkpoint %s: %w: %v", path, ErrCheckpointCorrupt, err)
 	}
 	if doc.Checksum != 0 {
-		want := doc.Checksum
-		doc.Checksum = 0
-		body, err := json.Marshal(doc)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint %s: re-encoding for CRC: %w", path, err)
-		}
-		if got := crc32.ChecksumIEEE(body); got != want {
+		if got := crc32.ChecksumIEEE(checksumBody(data)); got != doc.Checksum {
 			return nil, fmt.Errorf("core: checkpoint %s: %w: crc32 %08x, want %08x",
-				path, ErrCheckpointCorrupt, got, want)
+				path, ErrCheckpointCorrupt, got, doc.Checksum)
 		}
 	}
 	return &doc, nil
 }
 
+// checksumBody returns the bytes a checkpoint's CRC covers: the file as
+// written, minus the leading "crc32" member that writeCheckpoint adds
+// after computing the CRC. A document without that prefix is returned
+// whole, so it fails the CRC rather than the cut.
+func checksumBody(data []byte) []byte {
+	prefix := []byte(`{"crc32":`)
+	if !bytes.HasPrefix(data, prefix) {
+		return data
+	}
+	comma := bytes.IndexByte(data[len(prefix):], ',')
+	if comma < 0 {
+		return data
+	}
+	return append([]byte{'{'}, data[len(prefix)+comma+1:]...)
+}
+
+// checkVersion rejects schema versions this binary cannot resume.
+func checkVersion(src string, version int) error {
+	if version < oldestCheckpointVersion || version > checkpointVersion {
+		return fmt.Errorf("core: checkpoint %s: %w: version %d, this build reads %d to %d",
+			src, ErrCheckpointVersion, version, oldestCheckpointVersion, checkpointVersion)
+	}
+	return nil
+}
+
 // CheckpointInfo is the engine-independent summary of a checkpoint
 // file: enough to report restored progress and to verify that a resume
-// will be accepted (seed, fingerprint, workers), without constructing an
+// will be accepted (seed, fingerprint), without constructing an
 // Engine. The sfid service uses it to surface per-job recovery state.
 type CheckpointInfo struct {
 	// Version is the on-disk schema version.
@@ -245,9 +265,6 @@ type CheckpointInfo struct {
 	Seed int64
 	// Fingerprint is the plan fingerprint (see PlanFingerprint).
 	Fingerprint uint64
-	// Workers is the worker count that wrote the checkpoint; resume
-	// requires the same count.
-	Workers int
 	// Injections is the number of evaluated draws the checkpoint covers —
 	// the prefix a resume restores without re-evaluating anything.
 	Injections int64
@@ -281,26 +298,20 @@ func ReadCheckpointInfo(path string) (CheckpointInfo, error) {
 		Version:     doc.Version,
 		Seed:        doc.Seed,
 		Fingerprint: doc.Fingerprint,
-		Workers:     doc.Workers,
 		Injections:  doc.Injections,
 		Retries:     doc.Retries,
 		Quarantined: len(doc.Quarantined),
 		Strata:      len(doc.Strata),
 	}
-	if doc.Version != checkpointVersion {
-		return info, fmt.Errorf("core: checkpoint %s: %w: version %d, want %d",
-			path, ErrCheckpointVersion, doc.Version, checkpointVersion)
-	}
-	return info, nil
+	return info, checkVersion(path, doc.Version)
 }
 
 // applyCheckpoint validates the document against the running campaign
 // and only then folds it into the run state — a rejected checkpoint
 // leaves the execution untouched.
 func (x *execution) applyCheckpoint(src string, doc *checkpointDoc) error {
-	if doc.Version != checkpointVersion {
-		return fmt.Errorf("core: checkpoint %s: %w: version %d, want %d",
-			src, ErrCheckpointVersion, doc.Version, checkpointVersion)
+	if err := checkVersion(src, doc.Version); err != nil {
+		return err
 	}
 	if doc.Seed != x.seed {
 		return fmt.Errorf("core: checkpoint %s: %w: written for seed %d, not %d — resuming would break bit-identity",
@@ -309,10 +320,6 @@ func (x *execution) applyCheckpoint(src string, doc *checkpointDoc) error {
 	if got, want := doc.Fingerprint, planFingerprint(x.plan); got != want {
 		return fmt.Errorf("core: checkpoint %s: %w: fingerprint %016x, want %016x",
 			src, ErrCheckpointPlan, got, want)
-	}
-	if doc.Workers != x.workers {
-		return fmt.Errorf("core: checkpoint %s: %w: written at %d workers, resuming at %d — cursors sit on shard boundaries of the writing count",
-			src, ErrCheckpointWorkers, doc.Workers, x.workers)
 	}
 	if len(doc.Strata) != len(x.strata) {
 		return fmt.Errorf("core: checkpoint %s: %w: %d strata for a %d-stratum plan",

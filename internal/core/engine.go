@@ -21,12 +21,16 @@ import (
 // events, checkpoint/resume, and margin-based early stop. Run and
 // RunParallel are thin compatibility wrappers over it.
 //
-// Determinism guarantee (the anchor every feature preserves): every
-// stratum's sample is drawn up-front from one seeded generator in plan
-// order, the drawn samples are split into contiguous shards, and
-// per-shard tallies are merged strictly in draw order — so a completed
-// campaign's Result is a pure function of (plan, seed), bit-identical
-// across worker counts and across interrupt/resume cycles.
+// Determinism guarantee (the anchor every feature preserves): one
+// generator seeded with seed draws every stratum's sample in plan order,
+// each sample is cut into shards at fixed grid positions that depend on
+// the plan alone (shardGrid), and per-shard tallies are merged strictly
+// in draw order — so a Result is a pure function of (plan, seed),
+// bit-identical across worker counts and across interrupt/resume
+// cycles, with or without early stop. The draw streams: each shard is
+// handed to the workers as soon as it is drawn, into one of a few
+// recycled buffers, so drawing overlaps evaluation and the draw's memory
+// scales with the worker count rather than with the plan.
 //
 // An Engine is immutable after NewEngine and safe to reuse across
 // Execute calls (each call keeps its own run state), but two concurrent
@@ -71,10 +75,10 @@ func WithProgressInterval(n int64) Option { return func(e *Engine) { e.progressE
 
 // WithCheckpoint enables periodic campaign checkpoints at path: the
 // per-stratum cursor + tallies + seed are serialized so an interrupted
-// campaign can resume (WithResume) and produce a Result bit-identical
-// to an uninterrupted run at the same seed. A checkpoint is also
-// written when the context is cancelled, and the file is removed when
-// the campaign completes.
+// campaign can resume (WithResume), at any worker count, and produce a
+// Result bit-identical to an uninterrupted run at the same seed. A
+// checkpoint is also written when the context is cancelled, and the file
+// is removed when the campaign completes.
 func WithCheckpoint(path string) Option { return func(e *Engine) { e.checkpointPath = path } }
 
 // WithCheckpointInterval sets how many tallied injections elapse
@@ -96,9 +100,10 @@ func WithResume() Option { return func(e *Engine) { e.resume = true } }
 // ErrorMargin. At least earlyStopMinSample draws are always evaluated
 // per stratum so the normal approximation behind Eq. 3 is defensible.
 //
-// The stop rule is a pure function of each stratum's tallied prefix at
-// fixed shard boundaries, so early-stopped results stay deterministic
-// for a given (plan, seed, worker count).
+// The stop rule is checked only at the plan's shard-grid points, on each
+// stratum's tallied prefix, so an early-stopped Result is a pure
+// function of (plan, seed): the same at every worker count and across
+// interrupt/resume.
 func WithEarlyStop(target float64) Option {
 	return func(e *Engine) { e.earlyStop = true; e.earlyStopTarget = target }
 }
@@ -180,10 +185,10 @@ type execution struct {
 	workers int
 
 	strata []*stratumState
-	shards []*shard
-	order  [][]int // per stratum: indices into shards, in draw order
-	pos    []int   // per stratum: next order entry awaiting merge
-	done   []bool  // per shard: evaluated
+	grid   int64 // shard grid spacing (shardGrid)
+	// pending holds, per stratum, the dispatched shards not yet merged,
+	// in draw order (the generator emits each stratum's shards in order).
+	pending [][]*shard
 
 	// ranges is the WithDrawRanges vector (nil for a full run); cursors
 	// and shard offsets stay absolute draw positions either way, so a
@@ -260,6 +265,7 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 		start:       time.Now(),
 		workers:     workers,
 		strata:      make([]*stratumState, len(plan.Subpops)),
+		grid:        shardGrid(plan),
 		ranges:      e.ranges,
 		lastStratum: -1,
 	}
@@ -286,29 +292,18 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 		}
 	}
 
-	// The determinism anchor: every stratum's sample drawn up-front in
-	// plan order, then sharded exactly like a fresh run so resumed
-	// campaigns see the same boundaries (cursors always sit on shard
-	// boundaries of the worker count that wrote the checkpoint).
-	samples := drawAll(plan, seed)
-	for _, s := range makeShards(plan, samples, workers, x.ranges) {
-		st := x.strata[s.stratum]
-		end := s.start + int64(len(s.idx))
-		if st.stopped || end <= st.cursor {
-			continue // fully covered by the checkpoint
+	// The determinism anchor: one generator draws every stratum's sample
+	// in plan order, cut on the plan's shard grid, while the workers
+	// evaluate what is already drawn. Checkpointed strata resume at their
+	// cursor, and strata stopped before the checkpoint yield no shards.
+	first := make([]int64, len(plan.Subpops))
+	for i, st := range x.strata {
+		first[i] = st.cursor
+		if st.stopped {
+			_, first[i] = x.rangeBounds(i)
 		}
-		if s.start < st.cursor { // partially covered: trim the tallied head
-			s.idx = s.idx[st.cursor-s.start:]
-			s.start = st.cursor
-		}
-		x.shards = append(x.shards, s)
 	}
-	x.order = make([][]int, len(plan.Subpops))
-	for k, s := range x.shards {
-		x.order[s.stratum] = append(x.order[s.stratum], k)
-	}
-	x.pos = make([]int, len(plan.Subpops))
-	x.done = make([]bool, len(x.shards))
+	x.pending = make([][]*shard, len(plan.Subpops))
 	if e.trace != nil {
 		x.trace = e.trace
 		x.tstate = traceState{
@@ -338,15 +333,29 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 		}
 	}
 
+	// Every drawn, unmerged shard holds one of the free list's buffers,
+	// so the buffer count bounds the draw's lookahead and its memory.
+	buffers := 2*workers + 2
+	free := make(chan []int64, buffers)
+	for range buffers {
+		free <- nil
+	}
+	drawn := make(chan *shard, buffers)
+	quit := make(chan struct{})
 	type completion struct {
-		shard     int
+		shard     *shard
 		evaluated bool
 		worker    int
 		dur       time.Duration // shard evaluation wall time
 	}
-	jobs := make(chan int)
-	results := make(chan completion, len(x.shards)) // workers never block
+	jobs := make(chan *shard)
+	results := make(chan completion, buffers) // workers never block
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		x.drawShards(first, free, drawn, quit)
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int, ev Evaluator) {
@@ -358,78 +367,91 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 				sw = &supWorker{sup: x.sup, ev: ev}
 				defer sw.close()
 			}
-			for k := range jobs {
+			for s := range jobs {
 				// Cooperative cancellation, checked at shard boundaries:
 				// a cancelled worker reports the shard back unevaluated.
 				if ctx.Err() != nil {
-					results <- completion{shard: k, worker: w}
+					results <- completion{shard: s, worker: w}
 					continue
 				}
 				t0 := time.Now()
 				if sw != nil {
-					sw.evaluateShard(x.shards[k], x.space, plan, e.validate)
+					sw.evaluateShard(s, x.space, plan, e.validate)
 				} else {
-					x.shards[k].evaluate(ev, x.space, plan, e.validate, e.grouped)
+					s.evaluate(ev, x.space, plan, e.validate, e.grouped)
 				}
-				results <- completion{shard: k, evaluated: true, worker: w, dur: time.Since(t0)}
+				results <- completion{shard: s, evaluated: true, worker: w, dur: time.Since(t0)}
 			}
 		}(w, evals[w])
 	}
 
 	// Dispatch loop: one goroutine owns all bookkeeping (prefix merge,
-	// early stop, checkpoints, progress), so none of it needs locks.
+	// early stop, checkpoints, progress, the free list), so none of it
+	// needs locks. It holds at most one drawn shard (next) while waiting
+	// for a worker, so the generator runs ahead by the free buffers only.
 	var runErr error
 	aborted := false
 	ctxDone := ctx.Done()
-	next, inFlight := 0, 0
-	skipStopped := func() {
-		for next < len(x.shards) && x.strata[x.shards[next].stratum].stopped {
-			next++
+	var next *shard
+	inFlight := 0
+	for {
+		if next != nil && x.strata[next.stratum].stopped {
+			free <- next.idx
+			next = nil
 		}
-	}
-	skipStopped()
-	for inFlight > 0 || (!aborted && next < len(x.shards)) {
-		var jobCh chan int
-		if !aborted && next < len(x.shards) {
+		var jobCh chan *shard
+		var drawnCh <-chan *shard
+		if !aborted && (next != nil || drawn != nil) {
 			// select picks at random among ready cases, so ctx.Done alone
 			// could lose to dispatch until every shard is handed out and
 			// a cancelled campaign would come back complete.
 			if ctx.Err() != nil {
 				aborted = true
-			} else {
+			} else if next != nil {
 				jobCh = jobs
+			} else {
+				drawnCh = drawn
 			}
+		}
+		if jobCh == nil && drawnCh == nil && inFlight == 0 {
+			break
 		}
 		select {
 		case jobCh <- next:
-			x.traceStratumStart(x.shards[next].stratum)
-			next++
+			x.traceStratumStart(next.stratum)
+			x.pending[next.stratum] = append(x.pending[next.stratum], next)
+			next = nil
 			inFlight++
-			skipStopped()
+		case s, ok := <-drawnCh:
+			if !ok {
+				drawn = nil // every shard drawn
+				continue
+			}
+			next = s
 		case c := <-results:
 			inFlight--
+			free <- c.shard.idx
 			if !c.evaluated {
 				// A worker saw cancellation: the shard stays unmerged, so
 				// the Result is partial whatever select picks next.
 				aborted = true
-			} else {
-				if x.trace != nil {
-					s := x.shards[c.shard]
-					x.emitTrace(TraceShardDone, func(ev *TraceEvent) {
-						ev.Stratum = s.stratum
-						ev.Shard = c.shard
-						ev.Worker = c.worker
-						ev.Injections = int64(len(s.idx))
-						ev.Dur = c.dur
-					})
-				}
-				x.handleCompletion(c.shard)
-				skipStopped()
-				if !aborted {
-					if err := x.housekeeping(); err != nil {
-						runErr = err
-						aborted = true
-					}
+				continue
+			}
+			if x.trace != nil {
+				s := c.shard
+				x.emitTrace(TraceShardDone, func(ev *TraceEvent) {
+					ev.Stratum = s.stratum
+					ev.Shard = s.seq
+					ev.Worker = c.worker
+					ev.Injections = int64(len(s.idx))
+					ev.Dur = c.dur
+				})
+			}
+			x.handleCompletion(c.shard)
+			if !aborted {
+				if err := x.housekeeping(); err != nil {
+					runErr = err
+					aborted = true
 				}
 			}
 		case <-ctxDone:
@@ -437,6 +459,7 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 			ctxDone = nil
 		}
 	}
+	close(quit)
 	close(jobs)
 	wg.Wait()
 
@@ -485,18 +508,20 @@ func (x *execution) traceCampaignEnd(res *Result) {
 
 // handleCompletion records an evaluated shard and merges the stratum's
 // contiguous completed prefix, in draw order, checking the early-stop
-// rule at every merged boundary. Tallies of shards evaluated beyond an
-// early-stop cut are discarded — the reported actual-n is always a
-// deterministic prefix.
-func (x *execution) handleCompletion(k int) {
-	x.done[k] = true
-	i := x.shards[k].stratum
+// rule at every merged boundary — a grid point, or the window's end.
+// Tallies of shards evaluated beyond an early-stop cut are discarded, so
+// the reported actual-n is always the same deterministic prefix.
+func (x *execution) handleCompletion(s *shard) {
+	s.done = true
+	i := s.stratum
 	st := x.strata[i]
-	for !st.stopped && x.pos[i] < len(x.order[i]) && x.done[x.order[i][x.pos[i]]] {
-		x.mergeShard(x.shards[x.order[i][x.pos[i]]])
-		x.pos[i]++
+	q := x.pending[i]
+	for !st.stopped && len(q) > 0 && q[0].done {
+		x.mergeShard(q[0])
+		q = q[1:]
 		x.checkEarlyStop(i)
 	}
+	x.pending[i] = q
 	x.traceStratumEnd(i)
 }
 
@@ -571,7 +596,7 @@ func (x *execution) checkEarlyStop(i int) {
 	// verdict, so both the stop rule and the reported margin run over
 	// the reduced n. A ranged run stops on its window-local prefix (the
 	// stop rule stays a pure function of the window's tallied prefix at
-	// fixed shard boundaries, so it is deterministic per range).
+	// grid points, so it is deterministic per range).
 	eff := st.cursor - from - st.quarantined
 	if st.stopped || eff < earlyStopMinSample || st.cursor >= to {
 		return
@@ -715,19 +740,47 @@ func (x *execution) warnf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "core: %s\n", msg)
 }
 
-// shardOversubscription sets how many shards each worker receives on
-// average. A few shards per worker smooth out unequal shard costs
-// (SDC early exit makes critical faults much cheaper than benign ones)
-// without measurable scheduling overhead; shard boundaries are also the
-// granularity of cancellation, checkpointing, and early stop.
-const shardOversubscription = 4
+// The shard grid is the set of absolute draw positions every stratum's
+// sample is cut at: a shard covers [k·g, (k+1)·g) of its stratum's
+// draws, clipped to the stratum's draw window, for the plan's grid
+// spacing g (shardGrid). The grid depends on the plan alone, so shard
+// boundaries — which are also where early stop is decided and where
+// checkpoint cursors sit — are the same at every worker count.
+const (
+	// maxShardGrid caps the spacing, chosen by measurement on oracle
+	// campaigns (EXPERIMENTS.md, "Campaign engine overhead"): smaller
+	// shards pay more per-shard dispatch, larger ones hold more draw
+	// memory and decide early stop less often.
+	maxShardGrid = 4096
+	// minGridCells is how many shards a plan is cut into at least (when
+	// it has that many draws): enough for small plans of slow inference
+	// experiments to spread over 8 workers four shards deep, and to be
+	// interrupted and checkpointed mid-campaign.
+	minGridCells = 32
+)
+
+// shardGrid returns the plan's grid spacing: the largest power of two
+// up to maxShardGrid that still cuts the plan into minGridCells shards.
+func shardGrid(plan *Plan) int64 {
+	total := plan.TotalInjections()
+	g := int64(maxShardGrid)
+	for g > 1 && g*minGridCells > total {
+		g /= 2
+	}
+	return g
+}
 
 // shard is one contiguous slice of one stratum's drawn sample, plus the
 // tallies its evaluation produced.
 type shard struct {
-	stratum   int
-	start     int64 // offset of idx[0] within the stratum's drawn sample
+	stratum int
+	seq     int   // run-local shard number, in draw order (trace id)
+	start   int64 // absolute draw position of idx[0] within the stratum's sample
+	// idx holds the drawn indices in a free-list buffer. The buffer goes
+	// back to the free list as soon as the shard is evaluated; only
+	// len(idx) is read after that.
 	idx       []int64
+	done      bool // evaluated, awaiting its turn in the stratum's merge
 	successes int64
 	// perLayer collects the per-layer slices of a network-wise stratum's
 	// global sample (nil for layer- or bit-granular strata).
@@ -742,42 +795,59 @@ type shard struct {
 	abandoned   int64
 }
 
-// makeShards splits every stratum's sample into contiguous chunks of
-// roughly total/(workers·shardOversubscription) draws. Small strata stay
-// whole; a single large stratum fans out across all workers. A non-nil
-// ranges vector (WithDrawRanges) restricts each stratum to its [From,
-// To) draw window — shard offsets stay absolute draw positions, and the
-// chunk size is derived from the windowed total so a ranged run
-// oversubscribes its workers exactly like a full run of the same size.
-func makeShards(plan *Plan, samples [][]int64, workers int, ranges []DrawRange) []*shard {
-	bounds := func(i int) (int64, int64) {
-		if ranges == nil {
-			return 0, plan.Subpops[i].SampleSize
-		}
-		return ranges[i].From, ranges[i].To
-	}
-	var total int64
-	for i := range plan.Subpops {
-		from, to := bounds(i)
-		total += to - from
-	}
-	chunk := int(total / int64(workers*shardOversubscription))
-	if chunk < 1 {
-		chunk = 1
-	}
-	var shards []*shard
-	for i := range plan.Subpops {
-		from, to := bounds(i)
-		idx := samples[i][from:to]
-		for start := 0; start < len(idx); start += chunk {
-			end := start + chunk
-			if end > len(idx) {
-				end = len(idx)
+// drawShards is the streamed draw. It consumes one generator seeded with
+// seed stratum by stratum in plan order, exactly as the classic serial
+// Run does, and sends each stratum's sample to out one grid shard at a
+// time, as soon as that shard is drawn, in a buffer taken from free.
+// Stratum i is emitted from draw first[i] (its resume cursor, or its
+// window's start) to its window's end; the draws outside that span are
+// still made and discarded, so the sample never depends on the window.
+// drawShards closes out when done and returns early once quit closes.
+func (x *execution) drawShards(first []int64, free <-chan []int64, out chan<- *shard, quit <-chan struct{}) {
+	defer close(out)
+	rng := rand.New(rand.NewSource(x.seed))
+	g := x.grid
+	var fl stats.FloydSampler
+	var scratch []int64
+	discard := func(m int64) {
+		for m > 0 {
+			if scratch == nil {
+				scratch = make([]int64, g)
 			}
-			shards = append(shards, &shard{stratum: i, start: from + int64(start), idx: idx[start:end]})
+			c := min(m, g)
+			fl.Draw(scratch[:c])
+			m -= c
 		}
 	}
-	return shards
+	seq := 0
+	for i, sub := range x.plan.Subpops {
+		fl.Reset(rng, sub.Population, sub.SampleSize)
+		_, to := x.rangeBounds(i)
+		pos := first[i]
+		discard(pos)
+		for pos < to {
+			end := min((pos/g+1)*g, to)
+			var buf []int64
+			select {
+			case buf = <-free:
+			case <-quit:
+				return
+			}
+			if buf == nil {
+				buf = make([]int64, g)
+			}
+			s := &shard{stratum: i, seq: seq, start: pos, idx: buf[:end-pos]}
+			fl.Draw(s.idx)
+			select {
+			case out <- s:
+			case <-quit:
+				return
+			}
+			seq++
+			pos = end
+		}
+		discard(sub.SampleSize - pos)
+	}
 }
 
 // evaluate runs the shard's experiments against one evaluator. Each
@@ -872,17 +942,6 @@ func decodeShardFault(space faultmodel.Space, sub Subpopulation, j int64, valida
 		return f
 	}
 	return decodeFault(space, sub, j)
-}
-
-// drawAll reproduces the classic serial sampling exactly: one master
-// generator seeded with seed, consumed stratum by stratum in plan order.
-func drawAll(plan *Plan, seed int64) [][]int64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([][]int64, len(plan.Subpops))
-	for i, sub := range plan.Subpops {
-		out[i] = stats.SampleWithoutReplacement(rng, sub.Population, sub.SampleSize)
-	}
-	return out
 }
 
 // decodeFaultChecked is decodeFault with validation; the shard runner

@@ -29,9 +29,10 @@ var validateDecode = os.Getenv("SFI_VALIDATE_DECODE") != ""
 // to workers goroutines (0 selects GOMAXPROCS).
 //
 // Determinism guarantee: for the same seed, the Result is bit-identical
-// to Run's, regardless of worker count — neither the draw (performed
-// up-front in plan order) nor the tally (integer sums merged in draw
-// order) depends on evaluation interleaving.
+// to Run's, regardless of worker count — neither the draw (one
+// generator in plan order, cut on the plan's shard grid) nor the tally
+// (integer sums merged in draw order) depends on evaluation
+// interleaving.
 //
 // Work is sharded *within* strata, not just across them: a
 // single-stratum network-wise plan saturates all workers just like a

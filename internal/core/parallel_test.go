@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cnnsfi/internal/dataaware"
@@ -95,31 +97,67 @@ func TestRunParallelRace(t *testing.T) {
 	}
 }
 
-// TestMakeShards checks the shard partition: contiguous, in order,
-// covering every drawn index exactly once, and never more than
-// workers×shardOversubscription non-empty chunks per stratum than
-// needed.
-func TestMakeShards(t *testing.T) {
-	_, lw, _, _ := allApproachPlans(t)
-	samples := drawAll(lw, 7)
-	shards := makeShards(lw, samples, 4, nil)
-
-	next := make([]int, len(samples)) // cursor per stratum
-	for _, sh := range shards {
-		if len(sh.idx) == 0 {
-			t.Fatal("empty shard emitted")
-		}
-		for _, v := range sh.idx {
-			want := samples[sh.stratum][next[sh.stratum]]
-			if v != want {
-				t.Fatalf("stratum %d: shard order diverges from draw order", sh.stratum)
-			}
-			next[sh.stratum]++
-		}
+// drawnSamples is the reference draw every campaign must reproduce:
+// one generator seeded with seed, each stratum's whole sample drawn in
+// plan order.
+func drawnSamples(plan *Plan, seed int64) [][]int64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]int64, len(plan.Subpops))
+	for i, sub := range plan.Subpops {
+		out[i] = stats.SampleWithoutReplacement(rng, sub.Population, sub.SampleSize)
 	}
-	for s := range samples {
-		if next[s] != len(samples[s]) {
-			t.Errorf("stratum %d: %d of %d drawn indices sharded", s, next[s], len(samples[s]))
+	return out
+}
+
+// TestShardGrid checks the streamed draw's partition: shards arrive in
+// plan order with consecutive sequence numbers, each inside one grid
+// cell and clipped to its stratum's window, contiguous from the first
+// emitted draw to the window's end, holding exactly the reference draw.
+// It covers a full run and a ranged run that also resumes two strata
+// mid-window (one of them off the grid, as a v2 checkpoint can).
+func TestShardGrid(t *testing.T) {
+	_, lw, _, _ := allApproachPlans(t)
+	const seed = 7
+	want := drawnSamples(lw, seed)
+	n := func(i int) int64 { return lw.Subpops[i].SampleSize }
+	g := shardGrid(lw)
+	ranged := []DrawRange{{0, n(0)}, {1000, n(1) - 5}, {5000, 5000}, {g / 2, n(3) - 1}}
+	for label, tc := range map[string]struct {
+		ranges []DrawRange
+		first  []int64
+	}{
+		"full":            {nil, make([]int64, len(lw.Subpops))},
+		"ranged, resumed": {ranged, []int64{g + 1, 1000, 5000, 3 * g / 2}},
+	} {
+		x := &execution{plan: lw, seed: seed, ranges: tc.ranges, grid: g}
+		free := make(chan []int64, 2)
+		free <- nil
+		free <- nil
+		out := make(chan *shard)
+		go x.drawShards(tc.first, free, out, make(chan struct{}))
+		next := slices.Clone(tc.first)
+		seq, last := 0, 0
+		for s := range out {
+			_, to := x.rangeBounds(s.stratum)
+			end := s.start + int64(len(s.idx))
+			switch {
+			case s.seq != seq || s.stratum < last:
+				t.Fatalf("%s: shard %d (stratum %d) after shard %d of stratum %d", label, s.seq, s.stratum, seq-1, last)
+			case s.start != next[s.stratum] || end > to || end <= s.start:
+				t.Fatalf("%s: stratum %d shard [%d, %d) does not continue at %d inside its window ending %d",
+					label, s.stratum, s.start, end, next[s.stratum], to)
+			case end != to && end%g != 0 || (end-1)/g != s.start/g:
+				t.Fatalf("%s: stratum %d shard [%d, %d) is not one grid cell", label, s.stratum, s.start, end)
+			case !slices.Equal(s.idx, want[s.stratum][s.start:end]):
+				t.Fatalf("%s: stratum %d shard [%d, %d) diverges from the reference draw", label, s.stratum, s.start, end)
+			}
+			next[s.stratum], seq, last = end, seq+1, s.stratum
+			free <- s.idx
+		}
+		for i := range lw.Subpops {
+			if _, to := x.rangeBounds(i); next[i] != to {
+				t.Errorf("%s: stratum %d drawn to %d, window ends at %d", label, i, next[i], to)
+			}
 		}
 	}
 }

@@ -86,7 +86,7 @@ func (c *cloneableChaos) CloneForWorker() Evaluator {
 // a pure function of (plan, seed), like everything else in a campaign.
 func victimDraws(t *testing.T, plan *Plan, space faultmodel.Space, seed int64, picks map[int][]int64) map[faultmodel.Fault]int64 {
 	t.Helper()
-	samples := drawAll(plan, seed)
+	samples := drawnSamples(plan, seed)
 	out := make(map[faultmodel.Fault]int64)
 	for stratum, offs := range picks {
 		if stratum >= len(plan.Subpops) {
@@ -343,6 +343,16 @@ func TestEngineRejectsNegativeExperimentTimeout(t *testing.T) {
 // lanes (worker shutdown) must never move the gauge. Assertions are
 // deltas against a base snapshot — the counter is process-wide.
 func TestWatchdogAbandonedLanesGauge(t *testing.T) {
+	// An earlier test's abandoned lane (a chaos hang lasts a second) may
+	// still be pinned and exit at any moment, moving the gauge under this
+	// test. Wait until every such lane has exited before taking the base.
+	settle := time.Now().Add(10 * time.Second)
+	for WatchdogAbandonedLanes() != 0 {
+		if time.Now().After(settle) {
+			t.Fatalf("gauge still %d: an earlier abandoned lane never exited", WatchdogAbandonedLanes())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	base := WatchdogAbandonedLanes()
 	sup := &supervisor{timeout: 20 * time.Millisecond}
 

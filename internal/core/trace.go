@@ -254,7 +254,7 @@ func (x *execution) traceStratumEnd(i int) {
 		return
 	}
 	st := x.strata[i]
-	if !st.stopped && x.pos[i] < len(x.order[i]) {
+	if _, to := x.rangeBounds(i); !st.stopped && st.cursor < to {
 		return
 	}
 	x.tstate.ended[i] = true

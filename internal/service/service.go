@@ -3,7 +3,7 @@
 // over HTTP. It composes exclusively out of seams the lower layers
 // already provide: campaigns execute through core.Engine unchanged (so
 // every Result is bit-identical to a direct sfirun invocation at the
-// same plan, seed, and worker count), checkpoint v2 files are the
+// same plan and seed, at any worker count), engine checkpoints are the
 // durable job state (a restarted service resumes every in-flight job
 // from disk with zero re-evaluated draws), TraceSink/ProgressSink
 // events become the SSE payload, and the telemetry Registry carries
@@ -77,8 +77,8 @@ type Config struct {
 	// layout). Created if missing.
 	Dir string
 	// TotalWorkers sizes the shared worker-token pool (default
-	// GOMAXPROCS). A spec requesting more workers than this is rejected
-	// at submission, since it could never start.
+	// GOMAXPROCS). A spec requesting more workers than this is clamped
+	// to it at submission, since it could never start otherwise.
 	TotalWorkers int
 	// MaxQueue caps the pending queue (default 64); submissions beyond
 	// it fail with ErrQueueFull.
@@ -313,11 +313,12 @@ func (s *Service) Submit(spec CampaignSpec) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("%w: federated submit requires a coordinator (start sfid with -coordinator)",
 			ErrInvalidSpec)
 	}
-	// A federated job holds no local tokens — Workers sizes each member
-	// job, so the member pools are the binding constraint, not ours.
+	// A spec wider than the pool could never start; clamping it is safe
+	// because the Result is the same at any worker count. A federated job
+	// holds no local tokens — Workers sizes each member job, so the
+	// member pools are the binding constraint, not ours.
 	if !spec.Federated && spec.Workers > s.cfg.TotalWorkers {
-		return JobStatus{}, fmt.Errorf("%w: workers %d exceeds the service pool of %d",
-			ErrInvalidSpec, spec.Workers, s.cfg.TotalWorkers)
+		spec.Workers = s.cfg.TotalWorkers
 	}
 	s.mu.Lock()
 	if s.draining {

@@ -648,7 +648,6 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad_approach", `{"model":"smallcnn","approach":"nosuch"}`},
 		{"bad_margin", `{"model":"smallcnn","approach":"data-aware","margin":2}`},
 		{"inference_resnet", `{"model":"resnet20","approach":"data-aware","substrate":"inference"}`},
-		{"too_wide", `{"model":"smallcnn","approach":"data-aware","workers":99}`},
 		{"negative_batch", `{"model":"smallcnn","approach":"data-aware","substrate":"inference","batch":-1}`},
 		{"batch_on_oracle", `{"model":"smallcnn","approach":"data-aware","batch":8}`},
 	}
@@ -676,6 +675,36 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("unknown job status = %d, want 404", resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitClampsWorkers: a spec asking for more workers than the pool
+// is accepted with its worker count clamped to the pool, and its Result
+// is the bytes of a direct one-worker run — workers are not part of a
+// job's identity.
+func TestSubmitClampsWorkers(t *testing.T) {
+	svc, err := service.New(service.Config{Dir: t.TempDir(), TotalWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, svc)
+	spec := fullSpec("data-aware", 0.05)
+	spec.Workers = 99
+	st, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit of a spec wider than the pool: %v", err)
+	}
+	final := waitState(t, svc, st.ID, service.StateCompleted)
+	if final.Spec.Workers != 2 {
+		t.Errorf("spec workers = %d, want clamped to the pool of 2", final.Spec.Workers)
+	}
+	got, err := svc.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Workers = 1
+	if !bytes.Equal(got, directResult(t, spec)) {
+		t.Error("clamped job's Result differs from the direct one-worker run")
 	}
 }
 

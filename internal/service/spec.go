@@ -25,8 +25,8 @@ var ErrInvalidSpec = errors.New("invalid campaign spec")
 // It carries exactly the knobs sfirun exposes per campaign, so a spec
 // run through sfid produces a Result bit-identical to the equivalent
 // sfirun invocation: the plan is a pure function of (model, model_seed,
-// substrate, oracle_seed/images, approach, margin, confidence), the
-// sample of (plan, run_seed), and the tally of (sample, workers).
+// substrate, oracle_seed/images, approach, margin, confidence), and the
+// Result of (plan, run_seed) alone, at any worker count.
 type CampaignSpec struct {
 	// Name is an optional display label; it defaults to "model/approach".
 	Name string `json:"name,omitempty"`
@@ -54,9 +54,10 @@ type CampaignSpec struct {
 	// Batching changes wall time only — verdicts, and therefore the
 	// Result, are bit-identical at every batch size.
 	Batch int `json:"batch,omitempty"`
-	// Workers is the campaign's fixed worker count (default 1). It is
-	// part of the job's identity — checkpoints bind to it — and the job
-	// holds this many tokens of the service's shared pool while running.
+	// Workers is the campaign's worker count (default 1), clamped to the
+	// service's pool at submission. The job holds this many tokens of the
+	// shared pool while running. It is not part of the job's identity:
+	// the Result and checkpoints are the same at any worker count.
 	Workers int `json:"workers,omitempty"`
 	// Priority orders the queue: higher runs first; equal priorities run
 	// FIFO. Default 0.

@@ -2,12 +2,15 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
-// Fuzz targets for the Eq. 1 / Eq. 3 sample-size machinery. Run over
-// the seed corpus by plain `go test`; explored further by the CI fuzz
-// smoke stage (`go test -fuzz=FuzzSampleSize -fuzztime=30s`).
+// Fuzz targets for the Eq. 1 / Eq. 3 sample-size machinery and the
+// resumable Floyd sampler. Run over the seed corpus by plain `go test`;
+// explored further by the CI fuzz smoke stage (`go test
+// -fuzz=FuzzSampleSize -fuzztime=30s`).
 
 // FuzzSampleSize checks the structural invariants of Eq. 1 for
 // arbitrary configurations: the sample size always lands in [1, N] for
@@ -119,6 +122,42 @@ func FuzzWilsonInterval(f *testing.F) {
 		pHat := float64(successes) / float64(n)
 		if pHat < lo-1e-12 || pHat > hi+1e-12 {
 			t.Fatalf("interval [%v, %v] excludes observed proportion %v", lo, hi, pHat)
+		}
+	})
+}
+
+// FuzzFloydSamplerChunks checks the resumable sampler against the
+// one-shot draw for arbitrary seeds, populations, sample sizes and chunk
+// sizes: the chunks concatenate to SampleWithoutReplacement's sequence
+// and both generators end in the same state. The sampler is reset twice
+// per input so the second draw runs on reused set storage.
+func FuzzFloydSamplerChunks(f *testing.F) {
+	f.Add(int64(1), int64(73728), int64(13577), uint16(4096)) // dense Table III stratum
+	f.Add(int64(2), int64(1<<30), int64(1000), uint16(7))     // sparse
+	f.Add(int64(3), int64(64), int64(64), uint16(1))          // k = n, power of two
+	f.Add(int64(4), int64(1000), int64(0), uint16(3))         // k = 0
+	f.Fuzz(func(t *testing.T, seed, n, k int64, chunk uint16) {
+		if n < 0 || n > 1<<40 || k < 0 || k > n || k > 1<<15 || chunk == 0 {
+			t.Skip() // invalid sizes panic by contract; huge samples only cost time
+		}
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		var s FloydSampler
+		for rep := 0; rep < 2; rep++ {
+			w := SampleWithoutReplacement(want, n, k)
+			g := make([]int64, 0, k)
+			s.Reset(got, n, k)
+			buf := make([]int64, chunk)
+			for s.Remaining() > 0 {
+				c := buf[:min(int64(chunk), s.Remaining())]
+				s.Draw(c)
+				g = append(g, c...)
+			}
+			if !slices.Equal(g, w) {
+				t.Fatalf("rep %d: chunked draw of %d from %d in chunks of %d diverges", rep, k, n, chunk)
+			}
+		}
+		if got.Int63() != want.Int63() {
+			t.Fatal("generators end in different states")
 		}
 	})
 }

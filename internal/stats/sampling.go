@@ -22,37 +22,101 @@ import (
 // textbook version over a map, for any generator state.
 //
 // The returned slice is in insertion order (not sorted). It panics if
-// k < 0, n < 0, or k > n.
+// k < 0, n < 0, or k > n. FloydSampler draws the same sequence chunk by
+// chunk.
 func SampleWithoutReplacement(rng *rand.Rand, n, k int64) []int64 {
+	var s FloydSampler
+	s.Reset(rng, n, k)
+	out := make([]int64, k)
+	s.Draw(out)
+	return out
+}
+
+// FloydSampler is SampleWithoutReplacement made resumable: Reset starts a
+// draw of k from [0, n), and successive Draw calls hand out that draw's
+// sequence chunk by chunk. The concatenated chunks are exactly
+// SampleWithoutReplacement(rng, n, k), and the generator is left in the
+// same state, for any generator state and any chunking. The set storage
+// is kept across Resets, so a sampler reused for many draws allocates
+// only when a draw needs a larger set than any before it.
+//
+// The zero value is ready for Reset. A FloydSampler is not safe for
+// concurrent use.
+type FloydSampler struct {
+	rng  *rand.Rand
+	n, j int64 // population size, and the next Floyd index (draws remain while j < n)
+	// dense selects the bitset (bits) over the hash set (set); see
+	// denseDraw. Both keep their capacity across Resets.
+	dense bool
+	bits  []uint64
+	set   drawnSet
+}
+
+// Reset starts a new draw of k distinct integers from [0, n) on rng,
+// discarding whatever remained of the previous one. It panics if k < 0,
+// n < 0, or k > n.
+func (s *FloydSampler) Reset(rng *rand.Rand, n, k int64) {
 	if k < 0 || n < 0 || k > n {
 		panic(fmt.Sprintf("stats: cannot sample %d from %d", k, n))
 	}
-	out := make([]int64, 0, k)
-	if denseDraw(n, k) {
-		seen := make([]uint64, (n+63)/64)
-		for j := n - k; j < n; j++ {
+	s.rng, s.n, s.j = rng, n, n-k
+	s.dense = denseDraw(n, k)
+	if s.dense {
+		s.bits = resize(s.bits, int((n+63)/64))
+		return
+	}
+	b := bits.Len64(uint64(k)) + 1
+	s.set = drawnSet{table: resize(s.set.table, 1<<b), shift: uint(64 - b)}
+}
+
+// resize returns a zeroed slice of length n, reusing buf's storage when
+// it is large enough.
+func resize[T uint64 | int64](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// Remaining returns how many draws of the current Reset are still to come.
+func (s *FloydSampler) Remaining() int64 { return s.n - s.j }
+
+// Draw fills dst with the next len(dst) values of the draw. It panics if
+// dst is longer than Remaining.
+func (s *FloydSampler) Draw(dst []int64) {
+	if int64(len(dst)) > s.n-s.j {
+		panic(fmt.Sprintf("stats: drawing %d with %d remaining", len(dst), s.n-s.j))
+	}
+	rng, j := s.rng, s.j
+	if s.dense {
+		seen := s.bits
+		for i := range dst {
 			t := rng.Int63n(j + 1)
 			if seen[t>>6]&(1<<(t&63)) != 0 {
 				t = j
 			}
 			seen[t>>6] |= 1 << (t & 63)
-			out = append(out, t)
+			dst[i] = t
+			j++
 		}
-		return out
-	}
-	seen := newDrawnSet(k)
-	for j := n - k; j < n; j++ {
-		t := rng.Int63n(j + 1)
-		s := seen.slot(t)
-		if seen.table[s] != 0 {
-			// Every earlier draw is below j, so j is never in the set.
-			t = j
-			s = seen.slot(t)
+	} else {
+		seen := s.set
+		for i := range dst {
+			t := rng.Int63n(j + 1)
+			sl := seen.slot(t)
+			if seen.table[sl] != 0 {
+				// Every earlier draw is below j, so j is never in the set.
+				t = j
+				sl = seen.slot(t)
+			}
+			seen.table[sl] = t + 1
+			dst[i] = t
+			j++
 		}
-		seen.table[s] = t + 1
-		out = append(out, t)
 	}
-	return out
+	s.j = j
 }
 
 // denseDraw reports whether a bitset over [0, n) stays within the hash
@@ -62,17 +126,11 @@ func denseDraw(n, k int64) bool { return n <= 256*k }
 
 // drawnSet is an insert-only open-addressing hash set of non-negative
 // integers for Floyd's algorithm on sparse draws. Slots hold value+1, so
-// the zero slot is empty and the table needs no initialisation.
+// the zero slot is empty. Reset sizes the table to the smallest power of
+// two above 2k slots, which keeps the load factor below one half.
 type drawnSet struct {
 	table []int64
 	shift uint
-}
-
-// newDrawnSet sizes the table to the smallest power of two above 2k
-// slots, which keeps the load factor below one half.
-func newDrawnSet(k int64) drawnSet {
-	b := bits.Len64(uint64(k)) + 1
-	return drawnSet{table: make([]int64, 1<<b), shift: uint(64 - b)}
 }
 
 // slot returns the index holding v, or the empty slot ending v's probe

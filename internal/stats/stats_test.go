@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -577,6 +578,52 @@ func TestSampleWithoutReplacementAllocs(t *testing.T) {
 	}
 }
 
+// TestFloydSamplerChunksMatch: a FloydSampler drawn chunk by chunk at
+// sizes 1, 7 and 4096 (the engine's shard grid) concatenates to exactly
+// SampleWithoutReplacement and leaves the generator in the same state.
+// One sampler serves every case in turn, so its set storage is reused
+// across regimes and sizes (dense after sparse, small after large).
+func TestFloydSamplerChunksMatch(t *testing.T) {
+	cases := append([]struct{ n, k int64 }{{1 << 14, 1 << 14}, {1 << 16, 5000}, {1 << 20, 4097}}, samplerCases...)
+	var s FloydSampler
+	for _, chunk := range []int64{1, 7, 4096} {
+		for seed := int64(0); seed < 50; seed++ {
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for _, tc := range cases {
+				w := SampleWithoutReplacement(want, tc.n, tc.k)
+				g := make([]int64, 0, tc.k)
+				s.Reset(got, tc.n, tc.k)
+				for s.Remaining() > 0 {
+					c := min(chunk, s.Remaining())
+					buf := make([]int64, c)
+					s.Draw(buf)
+					g = append(g, buf...)
+				}
+				if !slices.Equal(g, w) {
+					t.Fatalf("chunk %d seed %d n=%d k=%d: chunked draw diverges from SampleWithoutReplacement", chunk, seed, tc.n, tc.k)
+				}
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("chunk %d seed %d: generator left at %d, one-shot draw at %d", chunk, seed, g, w)
+			}
+		}
+	}
+}
+
+// TestFloydSamplerOverdrawPanics: asking for more draws than remain is a
+// caller bug, not a silent short chunk.
+func TestFloydSamplerOverdrawPanics(t *testing.T) {
+	var s FloydSampler
+	s.Reset(rand.New(rand.NewSource(1)), 10, 3)
+	s.Draw(make([]int64, 2))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("drawing 2 with 1 remaining did not panic")
+		}
+	}()
+	s.Draw(make([]int64, 2))
+}
+
 func TestProportionEstimate(t *testing.T) {
 	c := DefaultConfig()
 	p := ProportionEstimate{Successes: 50, SampleSize: 1000, PopulationSize: 100000}
@@ -664,6 +711,23 @@ func BenchmarkSampleWithoutReplacement(b *testing.B) {
 				sampleSink = SampleWithoutReplacement(rng, bc.n, bc.k)
 			}
 		})
+	}
+}
+
+// BenchmarkSampleWithoutReplacementChunked prices the engine's streamed
+// draw of the dense stratum above: one FloydSampler reused across
+// strata, drawing 4,096-draw shard chunks into one reused buffer. It
+// allocates nothing once the set has grown to the stratum's size.
+func BenchmarkSampleWithoutReplacementChunked(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	var s FloydSampler
+	buf := make([]int64, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Reset(rng, 73728, 13577)
+		for s.Remaining() > 0 {
+			s.Draw(buf[:min(int64(len(buf)), s.Remaining())])
+		}
 	}
 }
 

@@ -197,7 +197,6 @@ var (
 	ErrCheckpointVersion = core.ErrCheckpointVersion
 	ErrCheckpointSeed    = core.ErrCheckpointSeed
 	ErrCheckpointPlan    = core.ErrCheckpointPlan
-	ErrCheckpointWorkers = core.ErrCheckpointWorkers
 	ErrCheckpointRange   = core.ErrCheckpointRange
 )
 
@@ -220,8 +219,8 @@ func MergeRangeResults(plan *Plan, parts []*Result) (*Result, error) {
 }
 
 // CheckpointInfo is the engine-independent summary of a checkpoint
-// file (schema version, seed, plan fingerprint, writing worker count,
-// restored injection prefix); ReadCheckpointInfo reads one following
+// file (schema version, seed, plan fingerprint, restored injection
+// prefix); ReadCheckpointInfo reads one following
 // the engine's corrupt-primary → .bak recovery ladder. The sfid service
 // reports per-job recovery state through it.
 type CheckpointInfo = core.CheckpointInfo
@@ -391,9 +390,9 @@ func TopSeparated(ranks []LayerRank, c Config) bool { return core.TopSeparated(r
 func ReadResultJSON(r io.Reader) (*Result, error) { return core.ReadResultJSON(r) }
 
 // RunParallel is Run spread over up to workers goroutines (0 selects
-// GOMAXPROCS). Every stratum's pre-drawn sample is sharded across the
-// workers, so even a single-stratum network-wise plan saturates all
-// cores. Determinism guarantee: the same seed yields a Result
+// GOMAXPROCS). Every stratum's sample is streamed to the workers in
+// shards on the plan's draw grid as it is drawn, so even a
+// single-stratum network-wise plan spreads over all cores. Determinism guarantee: the same seed yields a Result
 // bit-identical to Run's, regardless of worker count. Both evaluator
 // families are supported — the ActivationInjector is shared
 // (concurrency-safe); the Injector is cloned per worker (WorkerCloner)
@@ -437,7 +436,9 @@ func WithResume() EngineOption { return core.WithResume() }
 // WithEarlyStop halts each stratum once its achieved margin (Eq. 3
 // inverted at the observed proportion) reaches target (0 = the plan's
 // requested ErrorMargin), reporting actual-n in the Result alongside the
-// planned-n in the Plan.
+// planned-n in the Plan. The rule is checked at the plan's shard-grid
+// points only, so an early-stopped Result is still a pure function of
+// (plan, seed), at any worker count and across resume.
 func WithEarlyStop(target float64) EngineOption { return core.WithEarlyStop(target) }
 
 // WithDecodeValidation toggles the defensive fault-decode cross-check
