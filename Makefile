@@ -6,8 +6,7 @@
 #                detector (slow: real inference under -race)
 #   make vet     static analysis, and a gofmt check that fails on any
 #                unformatted file
-#   make bench   the serial-vs-parallel runner benchmarks, plus the
-#                batched-engine and grouped-experiment hot-path prices
+#   make bench   the serial-vs-parallel runner benchmarks
 #   make fuzz-smoke  run every fuzz target for a short budget (the CI
 #                fuzz stage; seed corpora live in testdata/fuzz/)
 #   make trace-smoke  record a tiny traced campaign, replay it with
@@ -52,7 +51,7 @@ vet:
 	if [ -n "$$unformatted" ]; then echo "gofmt -l . lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkParallel_|BenchmarkEngine_Batched|BenchmarkIsCritical_Grouped' -benchtime 3x .
+	$(GO) test -run xxx -bench 'BenchmarkParallel_' -benchtime 3x .
 
 # `go test -fuzz` accepts one target per invocation, so loop over every
 # Fuzz function in the packages that define them.

@@ -335,38 +335,6 @@ func BenchmarkSmallCNN_ExhaustiveLayer0(b *testing.B) {
 	}
 }
 
-// BenchmarkSmallCNN_ExhaustiveLayer0Batched reruns the exhaustive
-// layer-0 campaign on the batched evaluation path — the whole 8-image
-// evaluation set evaluated as one chunk per experiment, so the graph
-// walk and patch gather are paid once per fault instead of once per
-// image. critical_pct must match BenchmarkSmallCNN_ExhaustiveLayer0
-// exactly: batching changes wall time only, never a verdict.
-func BenchmarkSmallCNN_ExhaustiveLayer0Batched(b *testing.B) {
-	net, root := smallFixture(b)
-	inj := root.Clone() // the fixture injector is shared; batch a private clone
-	inj.SetBatchSize(8)
-	space := inj.Space()
-	// Warm with one unmasked experiment so the lazy batched golden state
-	// and the arena are built before timing starts.
-	w := net.WeightLayers()[0].WeightData()[0]
-	warm := faultmodel.Fault{Layer: 0, Param: 0, Bit: 0, Model: faultmodel.StuckAt1}
-	if fp.Bit32(w, 0) {
-		warm.Model = faultmodel.StuckAt0
-	}
-	inj.IsCritical(warm)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var critical int64
-		n := space.LayerTotal(0)
-		for j := int64(0); j < n; j++ {
-			if inj.IsCritical(space.LayerFault(0, j)) {
-				critical++
-			}
-		}
-		b.ReportMetric(float64(critical)/float64(n)*100, "critical_pct")
-	}
-}
-
 // BenchmarkIsCritical_Masked prices one masked-fault experiment on the
 // real-inference injector: a stuck-at whose target bit already holds
 // the stuck value, which the short-circuit classifies without running
@@ -868,59 +836,6 @@ func BenchmarkEngine_SupervisionWatchdog(b *testing.B) {
 			sfi.WithExperimentTimeout(time.Minute))
 		if _, err := eng.Execute(ctx, o, plan, int64(i)); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// benchEngineBatched runs one layer-wise inference campaign per
-// iteration on a private clone of the fixture injector at the given
-// batch size, under the grouped shard schedule sfirun's -batch flag
-// enables (1 = the unbatched baseline; 32 exceeds the 8-image
-// evaluation set, so every experiment runs as one full chunk). The
-// Result is bit-identical across all three sizes — the Batched1 /
-// Batched8 / Batched32 ns/op ratios are pure wall-time effects of
-// batching.
-func benchEngineBatched(b *testing.B, batch int) {
-	_, root := smallFixture(b)
-	inj := root.Clone()
-	inj.SetBatchSize(batch)
-	plan := sfi.PlanLayerWise(inj.Space(), inferenceBenchConfig())
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := sfi.NewEngine(sfi.WithWorkers(1), sfi.WithGroupedEvaluation(true))
-		if _, err := eng.Execute(ctx, inj, plan, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngine_Batched1(b *testing.B)  { benchEngineBatched(b, 1) }
-func BenchmarkEngine_Batched8(b *testing.B)  { benchEngineBatched(b, 8) }
-func BenchmarkEngine_Batched32(b *testing.B) { benchEngineBatched(b, 32) }
-
-// BenchmarkIsCritical_Grouped prices a grouped run of experiments: the
-// 64 stuck-at faults of one deepest-layer weight evaluated back to
-// back, exactly the order a WithGroupedEvaluation shard produces. Each
-// op is the whole 64-fault group; consecutive experiments re-execute
-// the same short suffix from the same golden prefix, so the cached
-// activations and the mutated weight's cache lines stay hot.
-func BenchmarkIsCritical_Grouped(b *testing.B) {
-	_, inj := smallFixture(b)
-	space := inj.Space()
-	layer := space.NumLayers() - 1 // deepest layer: longest shared prefix
-	faults := make([]faultmodel.Fault, 0, 64)
-	for bit := 0; bit < 32; bit++ {
-		faults = append(faults,
-			faultmodel.Fault{Layer: layer, Param: 0, Bit: bit, Model: faultmodel.StuckAt0},
-			faultmodel.Fault{Layer: layer, Param: 0, Bit: bit, Model: faultmodel.StuckAt1})
-	}
-	inj.IsCritical(faults[1]) // warm the arena
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, f := range faults {
-			inj.IsCritical(f)
 		}
 	}
 }

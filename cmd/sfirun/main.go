@@ -67,7 +67,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	runSeed := fs.Int64("run-seed", 0, "sampling seed")
 	substrate := fs.String("substrate", "oracle", "evaluator: oracle or inference")
 	images := fs.Int("images", 8, "evaluation-set size for the inference substrate")
-	batch := fs.Int("batch", 0, "images per batched forward pass on the inference substrate (0 or 1 = unbatched); verdicts are bit-identical at every batch size")
 	margin := fs.Float64("margin", 0.01, "requested error margin e, in (0,1)")
 	confidence := fs.Float64("confidence", 0.99, "confidence level, in (0,1)")
 	table3 := fs.Bool("table3", false, "print Table III")
@@ -126,12 +125,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *expTimeout < 0 {
 		return fail("-experiment-timeout must be >= 0 (got %v); 0 disables the watchdog", *expTimeout)
 	}
-	if *batch < 0 {
-		return fail("-batch must be >= 0 (got %d); 0 disables batching", *batch)
-	}
-	if *batch > 1 && *substrate != "inference" {
-		return fail("-batch needs -substrate inference; the oracle substrate runs no forward passes to batch")
-	}
 
 	if !*table3 && !*fig5 && !*fig6 && !*fig7 {
 		*table3 = true
@@ -168,7 +161,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		ds := sfi.SyntheticDataset(sfi.DatasetConfig{N: *images, Seed: 1, Size: 16})
 		inj := sfi.NewInjector(net, ds)
-		inj.SetBatchSize(*batch) // worker clones inherit the size
 		fmt.Fprintf(stderr, "running exhaustive inference FI over %s faults × %d images...\n",
 			report.Comma(inj.Space().Total()), *images)
 		exhaustive = exhaustiveByInference(stderr, inj)
@@ -249,13 +241,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		if *expTimeout > 0 {
 			opts = append(opts, sfi.WithExperimentTimeout(*expTimeout))
-		}
-		if *batch > 1 {
-			// Batched experiments amortize graph-walk overhead per image
-			// chunk; grouping the shard schedule by fault identity lets
-			// consecutive same-weight draws reuse the injector's golden
-			// prefix too. Supervised campaigns ignore the grouping flag.
-			opts = append(opts, sfi.WithGroupedEvaluation(true))
 		}
 		if *maxRetries >= 0 {
 			opts = append(opts, sfi.WithMaxRetries(*maxRetries))

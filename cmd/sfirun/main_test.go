@@ -66,8 +66,6 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"fig6_layer_out_of_range", []string{"-model", "smallcnn", "-margin", "0.05", "-fig6", "-layer", "99"}},
 		{"trace_summary_without_trace", []string{"-trace-summary"}},
 		{"negative_experiment_timeout", []string{"-experiment-timeout", "-1s"}},
-		{"negative_batch", []string{"-batch", "-4"}},
-		{"batch_needs_inference", []string{"-model", "smallcnn", "-substrate", "oracle", "-batch", "8"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

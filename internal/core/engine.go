@@ -45,7 +45,6 @@ type Engine struct {
 	earlyStop       bool
 	earlyStopTarget float64
 	validate        bool
-	grouped         bool
 	ranges          []DrawRange
 	trace           TraceSink
 
@@ -112,23 +111,6 @@ func WithEarlyStop(target float64) Option {
 // on or off explicitly, overriding the SFI_VALIDATE_DECODE environment
 // gate (which remains the process-wide default fallback).
 func WithDecodeValidation(on bool) Option { return func(e *Engine) { e.validate = on } }
-
-// WithGroupedEvaluation makes each worker evaluate its shard's draws
-// grouped by fault location — ordered by (layer, param, bit, model) —
-// so consecutive experiments share the same graph invalidation point
-// and weight word, which keeps the evaluator's suffix path and caches
-// hot (most effective on the inference substrate, where a fault's layer
-// decides how much of the network is re-executed). Tallies are still
-// merged strictly in draw order, and every experiment restores its
-// fault before the next begins, so verdicts are independent of
-// evaluation order: Result stays a pure function of (plan, seed),
-// bit-identical with grouping on or off.
-//
-// Off by default: grouping decodes and sorts a shard up front, which is
-// pure overhead for O(ns)-verdict evaluators like the oracle.
-// Supervised campaigns (WithExperimentTimeout / WithMaxRetries) ignore
-// the flag — the supervision lane processes draws in order.
-func WithGroupedEvaluation(on bool) Option { return func(e *Engine) { e.grouped = on } }
 
 // earlyStopMinSample is the minimum evaluated sample size before the
 // early-stop rule may fire: below ~30 draws the normal approximation
@@ -378,7 +360,7 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 				if sw != nil {
 					sw.evaluateShard(s, x.space, plan, e.validate)
 				} else {
-					s.evaluate(ev, x.space, plan, e.validate, e.grouped)
+					s.evaluate(ev, x.space, plan, e.validate)
 				}
 				results <- completion{shard: s, evaluated: true, worker: w, dur: time.Since(t0)}
 			}
@@ -852,58 +834,14 @@ func (x *execution) drawShards(first []int64, free <-chan []int64, out chan<- *s
 
 // evaluate runs the shard's experiments against one evaluator. Each
 // shard is touched by exactly one worker, so no locking is needed.
-func (s *shard) evaluate(ev Evaluator, space faultmodel.Space, plan *Plan, validate, grouped bool) {
+func (s *shard) evaluate(ev Evaluator, space faultmodel.Space, plan *Plan, validate bool) {
 	sub := plan.Subpops[s.stratum]
 	if sub.Layer < 0 {
 		s.perLayer = make(map[int]*stats.ProportionEstimate)
 	}
-	if grouped && len(s.idx) > 1 {
-		s.evaluateGrouped(ev, space, sub, validate)
-		return
-	}
 	for _, j := range s.idx {
 		f := decodeShardFault(space, sub, j, validate)
 		s.tally(space, sub, f, ev.IsCritical(f))
-	}
-}
-
-// evaluateGrouped is the WithGroupedEvaluation shard path: decode every
-// draw up front, evaluate in (layer, param, bit, model) order — draw
-// order within a group — and tally the verdicts strictly in draw order.
-// Evaluation order cannot change a verdict (every experiment restores
-// its fault before returning), so the shard's tallies are bit-identical
-// to the ungrouped path's.
-func (s *shard) evaluateGrouped(ev Evaluator, space faultmodel.Space, sub Subpopulation, validate bool) {
-	faults := make([]faultmodel.Fault, len(s.idx))
-	for i, j := range s.idx {
-		faults[i] = decodeShardFault(space, sub, j, validate)
-	}
-	perm := make([]int, len(faults))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		fa, fb := faults[perm[a]], faults[perm[b]]
-		if fa.Layer != fb.Layer {
-			return fa.Layer < fb.Layer
-		}
-		if fa.Param != fb.Param {
-			return fa.Param < fb.Param
-		}
-		if fa.Bit != fb.Bit {
-			return fa.Bit < fb.Bit
-		}
-		if fa.Model != fb.Model {
-			return fa.Model < fb.Model
-		}
-		return perm[a] < perm[b] // keep draw order within a group
-	})
-	verdicts := make([]bool, len(faults))
-	for _, i := range perm {
-		verdicts[i] = ev.IsCritical(faults[i])
-	}
-	for i, f := range faults {
-		s.tally(space, sub, f, verdicts[i])
 	}
 }
 

@@ -56,6 +56,32 @@ func TestCloneVerdictsMatchParent(t *testing.T) {
 	}
 }
 
+// TestCloneSharesGoldenCaches: New builds one golden activation cache
+// per image while the weights are golden, so a clone — taken, as the
+// engine takes its worker clones, after the root has evaluated — shares
+// the inputs and caches and owns its own scratch view.
+func TestCloneSharesGoldenCaches(t *testing.T) {
+	root := newTestInjector(t)
+	if len(root.inputs) != root.NumImages() || len(root.caches) != root.NumImages() {
+		t.Fatalf("New built %d inputs and %d caches for %d images",
+			len(root.inputs), len(root.caches), root.NumImages())
+	}
+	f := unmaskedFault(t, root)
+	root.IsCritical(f) // the root's scratch is now in use
+
+	c := root.Clone()
+	if &c.inputs[0] != &root.inputs[0] || &c.caches[0] != &root.caches[0] {
+		t.Fatal("clone does not share the golden inputs and caches")
+	}
+	if c.scratch != nil {
+		t.Fatal("clone inherited the root's scratch; it must be per-instance")
+	}
+	c.IsCritical(f)
+	if &c.scratch[0] == &root.scratch[0] {
+		t.Fatal("clone and root evaluate into the same scratch view")
+	}
+}
+
 // TestCloneCountsAggregate: clones share the root's atomic EvalStats
 // counters, so campaign totals survive the fan-out/join.
 func TestCloneCountsAggregate(t *testing.T) {

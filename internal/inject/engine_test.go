@@ -100,46 +100,3 @@ func TestEngineEarlyStopInjector(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineBatchedGroupedBitIdentity is the acceptance gate for the
-// batched refactor at the engine layer: a campaign on a batched
-// injector under the grouped shard schedule must serialize to the exact
-// bytes of the unbatched, ungrouped baseline at workers 1 and 4.
-// Batching changes only how many images one suffix pass evaluates, and
-// grouping changes only the order experiments run within a shard — the
-// tally is merged strictly in draw order — so the Result must stay a
-// pure function of (plan, seed).
-func TestEngineBatchedGroupedBitIdentity(t *testing.T) {
-	inj := newTestInjector(t)
-	cfg := stats.DefaultConfig()
-	cfg.ErrorMargin = 0.05
-	const seed = 11
-
-	for _, plan := range []*core.Plan{
-		core.PlanNetworkWise(inj.Space(), cfg),
-		core.PlanLayerWise(inj.Space(), cfg),
-	} {
-		var want bytes.Buffer
-		if err := core.RunParallel(inj, plan, seed, 1).WriteJSON(&want); err != nil {
-			t.Fatal(err)
-		}
-
-		batched := inj.Clone()
-		batched.SetBatchSize(4)
-		for _, workers := range []int{1, 4} {
-			eng := core.NewEngine(core.WithWorkers(workers), core.WithGroupedEvaluation(true))
-			res, err := eng.Execute(context.Background(), batched, plan, seed)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", plan.Approach, workers, err)
-			}
-			var got bytes.Buffer
-			if err := res.WriteJSON(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("%s workers=%d: batched+grouped campaign differs from unbatched baseline",
-					plan.Approach, workers)
-			}
-		}
-	}
-}

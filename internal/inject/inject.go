@@ -17,11 +17,10 @@
 //     already holds the stuck value (about half the stuck-at universe)
 //     leaves the weight bit-identical and is classified Non-critical
 //     with no inference at all. See Injector.Masked.
-//   - Batched arena execution: the evaluation images are stacked into
-//     chunks of SetBatchSize images (chunks of 1 by default), each with
-//     its golden activation cache, and every experiment re-executes one
-//     suffix pass per chunk (nn.Network's ExecBatchFromScratchChannel).
-//     Recomputed activations come from a per-injector scratch arena, so
+//   - Arena suffix execution: every image keeps its golden activation
+//     cache, and every experiment re-executes one suffix pass per image
+//     (nn.Network's ExecBatchFromScratchChannel at batch 1). Recomputed
+//     activations come from a per-injector scratch arena, so
 //     steady-state experiments perform zero heap allocations, and a
 //     conv fault recomputes only its own output channel of the faulted
 //     layer. EvalStats reports how each experiment was resolved.
@@ -114,17 +113,14 @@ type Injector struct {
 	// SetLatencyHistogram before the campaign starts.
 	latency *evalstats.Histogram
 
-	// batch is the configured evaluation batch size (SetBatchSize); 0
-	// and 1 both mean chunks of one image. batchInputs and batchCaches
-	// are the golden state, built eagerly by New and SetBatchSize: the
-	// evaluation images stacked into NCHW chunks and one batched golden
-	// activation cache per chunk, immutable once built and shared with
-	// clones. batchScratch is the per-experiment cache view, per
-	// instance and never shared.
-	batch        int
-	batchInputs  []*tensor.Tensor
-	batchCaches  [][]*tensor.Tensor
-	batchScratch []*tensor.Tensor
+	// inputs and caches are the golden state, built by New while the
+	// weights are golden, immutable afterwards and shared with clones:
+	// each evaluation image as a batch-1 NCHW tensor, and its golden
+	// activation cache (one output per graph node). scratch is the
+	// per-experiment cache view, per instance and never shared.
+	inputs  []*tensor.Tensor
+	caches  [][]*tensor.Tensor
+	scratch []*tensor.Tensor
 	// arenaSeen is how much of Net's arena growth this injector has
 	// already published to counters.ArenaBytes (owner-only state).
 	arenaSeen int64
@@ -141,9 +137,8 @@ type evalCounters struct {
 }
 
 // New builds an injector over the network and evaluation set, computing
-// golden predictions and the golden activation caches (one chunk per
-// image until SetBatchSize says otherwise). It panics on an empty
-// dataset.
+// golden predictions and one golden activation cache per image. It
+// panics on an empty dataset.
 func New(net *nn.Network, ds *dataset.Dataset) *Injector {
 	if ds.Len() == 0 {
 		panic("inject: empty evaluation set")
@@ -157,23 +152,20 @@ func New(net *nn.Network, ds *dataset.Dataset) *Injector {
 		inj.nodes = append(inj.nodes, net.WeightNodeIndex(l))
 	}
 	inj.space = faultmodel.NewStuckAt(net.LayerParamCounts(), fp.Bits32)
+	correct := 0
 	for _, s := range ds.Samples {
+		in := tensor.New(append([]int{1}, s.Image.Shape...)...)
+		copy(in.Data, s.Image.Data)
+		cache := net.ExecBatch(in)
+		pred := cache[len(cache)-1].ArgMax()
+		if pred == s.Label {
+			correct++
+		}
 		inj.images = append(inj.images, s.Image)
 		inj.labels = append(inj.labels, s.Label)
-	}
-	inj.buildChunks()
-
-	correct := 0
-	for ci, in := range inj.batchInputs {
-		out := inj.batchCaches[ci][len(net.Nodes)-1]
-		k := out.Len() / in.Shape[0]
-		for n := 0; n < in.Shape[0]; n++ {
-			pred := (&tensor.Tensor{Data: out.Data[n*k : (n+1)*k]}).ArgMax()
-			if pred == inj.labels[len(inj.golden)] {
-				correct++
-			}
-			inj.golden = append(inj.golden, pred)
-		}
+		inj.golden = append(inj.golden, pred)
+		inj.inputs = append(inj.inputs, in)
+		inj.caches = append(inj.caches, cache)
 	}
 	inj.acc = float64(correct) / float64(ds.Len())
 	return inj
@@ -197,8 +189,8 @@ func (inj *Injector) GoldenPredictions() []int {
 func (inj *Injector) NumImages() int { return len(inj.images) }
 
 // Clone returns an injector that shares this one's immutable golden
-// state (evaluation images, labels, golden predictions, golden chunks
-// and their activation caches, fault space) but owns an independent deep
+// state (evaluation images, labels, golden predictions, per-image golden
+// activation caches, fault space) but owns an independent deep
 // copy of the network's injectable weights, so the clone's IsCritical
 // may run concurrently with the original's and with other clones'.
 // EvalStats from every clone aggregate atomically into one shared
@@ -206,20 +198,19 @@ func (inj *Injector) NumImages() int { return len(inj.images) }
 // the golden activation caches — the expensive part of New — are reused.
 func (inj *Injector) Clone() *Injector {
 	c := &Injector{
-		Net:         inj.Net.Clone(),
-		Criterion:   inj.Criterion,
-		Threshold:   inj.Threshold,
-		images:      inj.images,
-		labels:      inj.labels,
-		golden:      inj.golden,
-		space:       inj.space,
-		nodes:       inj.nodes,
-		acc:         inj.acc,
-		counters:    inj.stats(),
-		latency:     inj.latency,
-		batch:       inj.batch,
-		batchInputs: inj.batchInputs,
-		batchCaches: inj.batchCaches,
+		Net:       inj.Net.Clone(),
+		Criterion: inj.Criterion,
+		Threshold: inj.Threshold,
+		images:    inj.images,
+		labels:    inj.labels,
+		golden:    inj.golden,
+		space:     inj.space,
+		nodes:     inj.nodes,
+		acc:       inj.acc,
+		counters:  inj.stats(),
+		latency:   inj.latency,
+		inputs:    inj.inputs,
+		caches:    inj.caches,
 	}
 	c.layers = c.Net.WeightLayers()
 	return c

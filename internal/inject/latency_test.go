@@ -69,25 +69,36 @@ func TestLatencyHistogramObserves(t *testing.T) {
 }
 
 // TestIsCriticalAllocs pins the telemetry invariant on the experiment
-// hot path: zero steady-state allocations per experiment, both with the
-// latency histogram disabled (the telemetry-off guarantee) and enabled
-// (Observe is allocation-free and the timing code adds no escaping
-// closures).
+// hot path: zero steady-state allocations per experiment, evaluated and
+// masked alike, both with the latency histogram disabled (the
+// telemetry-off guarantee) and enabled (Observe is allocation-free and
+// the timing code adds no escaping closures).
 func TestIsCriticalAllocs(t *testing.T) {
 	inj := newTestInjector(t)
 	f := unmaskedFault(t, inj)
+	masked := f // the other stuck value: the bit already holds it
+	masked.Model = faultmodel.StuckAt1
+	if f.Model == faultmodel.StuckAt1 {
+		masked.Model = faultmodel.StuckAt0
+	}
+	if !inj.Masked(masked) {
+		t.Fatalf("%v is not masked", masked)
+	}
 
 	// Warm up: grows the arena and the scratch slice to steady state.
 	inj.IsCritical(f)
 
-	if n := testing.AllocsPerRun(50, func() { inj.IsCritical(f) }); n != 0 {
-		t.Errorf("telemetry off: %.1f allocs per experiment, want 0", n)
-	}
-
 	var h evalstats.Histogram
-	inj.SetLatencyHistogram(&h)
-	if n := testing.AllocsPerRun(50, func() { inj.IsCritical(f) }); n != 0 {
-		t.Errorf("telemetry on: %.1f allocs per experiment, want 0", n)
+	for _, telemetry := range []string{"off", "on"} {
+		if telemetry == "on" {
+			inj.SetLatencyHistogram(&h)
+		}
+		if n := testing.AllocsPerRun(50, func() { inj.IsCritical(f) }); n != 0 {
+			t.Errorf("telemetry %s: %.1f allocs per experiment, want 0", telemetry, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { inj.IsCritical(masked) }); n != 0 {
+			t.Errorf("telemetry %s: %.1f allocs per masked short-circuit, want 0", telemetry, n)
+		}
 	}
 	if h.Snapshot().Count == 0 {
 		t.Error("histogram saw no observations during the alloc runs")

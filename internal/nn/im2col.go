@@ -97,16 +97,7 @@ func (c *Conv2D) gemmTiles(buf, out []float32, lo, hi, nb, cols int) {
 		wRow := c.W[oc*ksize : (oc+1)*ksize]
 		base := n * cols
 		dst := out[(n*c.OutC+oc)*cols : (n*c.OutC+oc+1)*cols]
-		for kk, wv := range wRow {
-			if wv == 0 {
-				continue
-			}
-			src := buf[kk*rowStride+base : kk*rowStride+base+cols]
-			d := dst[:len(src)]
-			for i, v := range src {
-				d[i] += wv * v
-			}
-		}
+		gemmRow(wRow, buf[base:], rowStride, dst)
 		if c.Bias != nil {
 			b := c.Bias[oc]
 			for i := range dst {
@@ -114,4 +105,14 @@ func (c *Conv2D) gemmTiles(buf, out []float32, lo, hi, nb, cols int) {
 			}
 		}
 	}
+}
+
+// gemmRow accumulates one output row of the conv GEMM: for every
+// non-zero w[kk], in ascending kk, dst[i] += w[kk] * src[kk*stride+i].
+// It panics unless src holds every row it reads.
+func gemmRow(w, src []float32, stride int, dst []float32) {
+	if len(w) > 0 && len(dst) > 0 {
+		_ = src[(len(w)-1)*stride+len(dst)-1]
+	}
+	gemmRowKernel(w, src, stride, dst)
 }

@@ -101,6 +101,66 @@ func bitsEqual(t *testing.T, got *tensor.Tensor, n int, want *tensor.Tensor) {
 	}
 }
 
+// TestGemmRowMatchesGoLoop pins gemmRow to the Go loop it replaced in
+// the conv GEMM, bit for bit: row lengths across the inner loop's edges,
+// with zero, negative-zero, infinite, subnormal and NaN weights and
+// inputs, NaNs of distinct payloads on both sides of the multiply and
+// the add. Elements between and after the rows it reads, and past dst,
+// must not matter or change; a src too short for its rows must panic.
+func TestGemmRowMatchesGoLoop(t *testing.T) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), 1.5, -3,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, math.MaxFloat32,
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc12345), math.Float32frombits(0x7f800001),
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func() float32 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return float32(rng.NormFloat64())
+	}
+	for cols := 0; cols <= 40; cols++ {
+		for trial := 0; trial < 10; trial++ {
+			w := make([]float32, rng.Intn(6))
+			for i := range w {
+				w[i] = pick()
+			}
+			stride := cols + rng.Intn(3)
+			src := make([]float32, max(len(w)*stride, 1))
+			for i := range src {
+				src[i] = pick()
+			}
+			got, want := make([]float32, cols+1), make([]float32, cols+1)
+			for i := range got {
+				got[i] = pick()
+			}
+			copy(want, got)
+			d := want[:cols]
+			for kk, wv := range w {
+				if wv == 0 {
+					continue
+				}
+				for i, v := range src[kk*stride : kk*stride+cols] {
+					d[i] += wv * v
+				}
+			}
+			gemmRow(w, src, stride, got[:cols])
+			for i := range want {
+				if g, e := math.Float32bits(got[i]), math.Float32bits(want[i]); g != e {
+					t.Fatalf("cols=%d w=%v elem %d: %08x, want %08x", cols, w, i, g, e)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("gemmRow read past a short src without panicking")
+		}
+	}()
+	gemmRow([]float32{1, 1}, make([]float32, 7), 4, make([]float32, 4))
+}
+
 // TestConv2DMatchesNaive compares the conv kernel with the bit-exact
 // float32 reference, at batch 1 and batch 3, on both algorithms
 // wherever both apply — first with finite weights, then with a NaN, a

@@ -1073,9 +1073,6 @@ func (s *Service) startLocalPart(ctx context.Context, j *job, fed *fedDoc, k int
 		if spec.MaxRetries != nil {
 			opts = append(opts, core.WithMaxRetries(*spec.MaxRetries))
 		}
-		if spec.Batch > 1 {
-			opts = append(opts, core.WithGroupedEvaluation(true))
-		}
 		lr.res, lr.err = core.NewEngine(opts...).Execute(ctx, ev, plan, spec.RunSeed)
 	}()
 	return lr

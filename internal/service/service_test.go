@@ -708,6 +708,36 @@ func TestSubmitClampsWorkers(t *testing.T) {
 	}
 }
 
+// TestBatchIsIgnored: the spec's batch field is accepted for
+// compatibility and has no effect, so an inference job at batch 8
+// serves Result bytes identical to the same job at batch 0.
+func TestBatchIsIgnored(t *testing.T) {
+	svc, err := service.New(service.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, svc)
+	spec := fullSpec("data-aware", 0.1)
+	spec.Substrate = "inference"
+	var results [][]byte
+	for _, batch := range []int{0, 8} {
+		spec.Batch = batch
+		st, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		waitState(t, svc, st.ID, service.StateCompleted)
+		got, err := svc.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, got)
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Errorf("batch 8 Result differs from batch 0\n--- batch 0 ---\n%s--- batch 8 ---\n%s", results[0], results[1])
+	}
+}
+
 // TestMetricsCarryCampaignLabels asserts the /metrics endpoint exposes
 // per-campaign labeled series alongside the service-level gauges.
 func TestMetricsCarryCampaignLabels(t *testing.T) {

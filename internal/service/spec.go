@@ -49,10 +49,10 @@ type CampaignSpec struct {
 	RunSeed    int64 `json:"run_seed,omitempty"`
 	// Images sizes the inference substrate's evaluation set (default 8).
 	Images int `json:"images,omitempty"`
-	// Batch sets how many images each faulted forward pass evaluates at
-	// once on the inference substrate (0 or 1 = unbatched, the default).
-	// Batching changes wall time only — verdicts, and therefore the
-	// Result, are bit-identical at every batch size.
+	// Batch is accepted and ignored, kept for compatibility: every
+	// faulted forward pass evaluates one image. It is still validated
+	// (>= 0, and > 1 only on the inference substrate), so specs that
+	// were rejected before are rejected now.
 	Batch int `json:"batch,omitempty"`
 	// Workers is the campaign's worker count (default 1), clamped to the
 	// service's pool at submission. The job holds this many tokens of the
@@ -214,9 +214,7 @@ func DefaultEvaluator(spec CampaignSpec, net *nn.Network) (core.Evaluator, error
 		return oracle.New(net, oracle.DefaultConfig(spec.OracleSeed)), nil
 	case "inference":
 		ds := dataset.Synthetic(dataset.Config{N: spec.Images, Seed: 1, Size: 16})
-		inj := inject.New(net, ds)
-		inj.SetBatchSize(spec.Batch) // worker clones inherit the size
-		return inj, nil
+		return inject.New(net, ds), nil
 	}
 	return nil, fmt.Errorf("service: unknown substrate %q", spec.Substrate)
 }
@@ -308,12 +306,6 @@ func (s *Service) engineOptions(j *job, tr *telemetry.Tracer) []core.Option {
 	}
 	if len(spec.Ranges) > 0 {
 		opts = append(opts, core.WithDrawRanges(spec.Ranges))
-	}
-	if spec.Batch > 1 {
-		// Mirror sfirun: batched inference jobs also group each shard's
-		// schedule by fault identity (Result stays bit-identical; the
-		// supervised path ignores the flag).
-		opts = append(opts, core.WithGroupedEvaluation(true))
 	}
 	return opts
 }

@@ -99,6 +99,8 @@ type (
 	// ActivationInjector is concurrency-safe without cloning).
 	WorkerCloner = core.WorkerCloner
 	// Injector is the inference-based evaluator (PyTorchFI equivalent).
+	// It evaluates one image per faulted forward pass; its SetBatchSize
+	// is a no-op kept for compatibility.
 	Injector = inject.Injector
 	// Oracle is the full-scale simulated evaluator.
 	Oracle = oracle.Oracle
@@ -467,15 +469,10 @@ func WithExperimentTimeout(d time.Duration) EngineOption { return core.WithExper
 // supervises (panics no longer crash the campaign) without retrying.
 func WithMaxRetries(n int) EngineOption { return core.WithMaxRetries(n) }
 
-// WithGroupedEvaluation makes each worker evaluate its shard's draws
-// grouped by fault identity (layer, weight, bit, model) so consecutive
-// experiments on the same weight share the injector's cached golden
-// prefix; tallies are still merged strictly in draw order, so the
-// Result stays bit-identical to the ungrouped schedule. Off by default:
-// grouping is pure overhead for cheap evaluators (the oracle), and
-// supervised campaigns (WithMaxRetries / WithExperimentTimeout) ignore
-// it.
-func WithGroupedEvaluation(on bool) EngineOption { return core.WithGroupedEvaluation(on) }
+// WithGroupedEvaluation returns an option that does nothing; it is kept
+// so existing callers compile. Every worker evaluates its shard's draws
+// in draw order, one experiment at a time.
+func WithGroupedEvaluation(bool) EngineOption { return func(*core.Engine) {} }
 
 // WatchdogAbandonedLanes reports how many experiment goroutines
 // abandoned by the WithExperimentTimeout watchdog are still pinned by
