@@ -168,13 +168,18 @@ federation-smoke:
 # Chaos smoke: the federation smoke with the screws turned. The
 # coordinator's outbound fleet RPCs run through the -chaos transport
 # (dropped connections, synthesized 5xx, torn bodies, a link that flaps
-# down 300ms of every 1500ms), member2 is made a straggler with
-# -eval-delay, and the merged Result must still be byte-identical to
-# the same single-node golden as service-smoke — retries, breaker
-# trips, speculative re-execution and all. The metrics greps pin that
-# the resilience layer actually worked for it: retries were scheduled,
-# every member carries a breaker series, and the straggling window was
-# speculatively re-dispatched.
+# down 300ms of every 1500ms), member2 is made 7.5x slower than member1
+# with -eval-delay (15ms against 2ms per draw), and the merged Result
+# must still be byte-identical to the same single-node golden as
+# service-smoke — retries, breaker trips, backup copies and all. The
+# metrics greps pin that the resilience layer actually worked for it:
+# retries were scheduled, every member carries a breaker series, and
+# member2's window was backed up on member1. Once member1 has finished
+# its own window, it would redo member2's whole window about 25s sooner
+# than member2 finishes what it has left (well past the 10s
+# -member-timeout the lease rule asks for); and while the chaos keeps
+# member2 unreachable, its window's lease lapses after -member-timeout
+# instead. Either way member1 backs it up.
 chaos-smoke:
 	@set -e; tmp=$$(mktemp -d); pids=; \
 	trap 'kill $$pids 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \

@@ -2,10 +2,13 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,7 +37,6 @@ func chaosCoord(t *testing.T, spec string) service.Config {
 		MemberRPCTimeout: 2 * time.Second,
 		BreakerThreshold: 3,
 		BreakerOpenFor:   100 * time.Millisecond,
-		StragglerRatio:   -1, // speculation pinned by TestFederatedStragglerSpeculation
 		Transport:        resilience.NewTransport(chaos, nil),
 	}
 }
@@ -127,96 +129,110 @@ func TestFederatedChaosBitIdentity(t *testing.T) {
 	}
 }
 
-// TestFederatedStragglerSpeculation pins speculative re-execution: a
-// member whose progress rate sits far below the fleet median for the
-// configured number of poll cycles gets its window speculatively
-// re-dispatched to a spare member; the fast copy merges first, the
-// crawling original is canceled before the merge, and the Result is
-// still byte-identical — exactly one fetched copy of the window enters
-// the merge.
+// TestFederatedStragglerSpeculation pins backup copies: once the hare
+// has finished its own window, a window whose lone copy it would
+// overtake — a tortoise whose reported rate leaves more time than the
+// hare needs for the whole window, or a member that keeps heartbeating
+// while its job makes no progress for the member timeout — gets a
+// second copy on the hare; the fast copy merges first, the original is
+// canceled before the merge, and the Result is still byte-identical —
+// exactly one fetched copy of the window enters the merge.
 func TestFederatedStragglerSpeculation(t *testing.T) {
 	spec := fullSpec("network-wise", 0.02) // ~4k draws: two ~2k windows
 	want := directResult(t, spec)
+	cases := map[string]func(release chan struct{}, evals *atomic.Int64) service.EvaluatorBuilder{
+		// At 2ms per draw the tortoise needs seconds for its window; the
+		// hare is 10× faster.
+		"slow": func(_ chan struct{}, evals *atomic.Int64) service.EvaluatorBuilder {
+			return slowBuilder(2*time.Millisecond, evals)
+		},
+		// The laggard's single worker parks on its first draw until
+		// release: the daemon heartbeats and answers polls, but its job
+		// never progresses.
+		"stalled": func(release chan struct{}, _ *atomic.Int64) service.EvaluatorBuilder {
+			return hangOnceBuilder(release)
+		},
+	}
+	for name, laggard := range cases {
+		t.Run(name, func(t *testing.T) {
+			release := make(chan struct{})
+			var closeOnce sync.Once
+			unblock := func() { closeOnce.Do(func() { close(release) }) }
+			defer unblock()
 
-	coord, err := service.New(service.Config{
-		Dir:             t.TempDir(),
-		Coordinator:     true,
-		MemberTimeout:   time.Hour,
-		FederationPoll:  10 * time.Millisecond,
-		StragglerRatio:  0.5,
-		StragglerCycles: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustShutdown(t, coord)
-
-	var evals atomic.Int64
-	// At 2ms per draw the tortoise needs seconds for its window. The
-	// hare is 10× faster — slow enough that the poller samples its
-	// progress rate (a part finishing inside the first poll cycle
-	// would freeze a zero rate into the median pool), fast enough that
-	// the speculative copy finishes long before the original.
-	tortoise := startNode(t, memberConfig(1, slowBuilder(2*time.Millisecond, &evals)))
-	defer tortoise.stop(t)
-	hare := startNode(t, memberConfig(4, slowBuilder(200*time.Microsecond, &evals)))
-	defer hare.stop(t)
-	if _, err := coord.RegisterMember(tortoise.srv.URL, "tortoise"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.RegisterMember(hare.srv.URL, "hare"); err != nil {
-		t.Fatal(err)
-	}
-
-	s := spec
-	s.Federated = true
-	st, err := coord.Submit(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitState(t, coord, st.ID, service.StateCompleted)
-	joined := strings.Join(final.Warnings, "\n")
-	if !strings.Contains(joined, "speculatively re-dispatched") {
-		t.Errorf("warnings %q record no speculative dispatch", final.Warnings)
-	}
-	if !strings.Contains(joined, "finished first") {
-		t.Errorf("warnings %q do not record the speculative copy winning", final.Warnings)
-	}
-	if final.Done != final.Planned {
-		t.Errorf("done %d of planned %d after speculation", final.Done, final.Planned)
-	}
-	got, err := coord.Result(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("Result after speculative re-execution differs from the single-node run (double-tally)")
-	}
-	if v := metricValue(t, coord, "sfid_speculative_parts_total"); v < 1 {
-		t.Errorf("sfid_speculative_parts_total = %v, want >= 1", v)
-	}
-	// The losing original must have been canceled, not left crawling.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		canceled := false
-		for _, j := range tortoise.svc.List() {
-			if j.State == service.StateCanceled {
-				canceled = true
+			coord, err := service.New(coordConfig(t.TempDir(), 500*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if canceled {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the straggling original was never canceled on its member")
-		}
-		time.Sleep(5 * time.Millisecond)
+			defer mustShutdown(t, coord)
+			coordSrv := httptest.NewServer(service.NewMux(coord))
+			defer coordSrv.Close()
+
+			var evals atomic.Int64
+			tortoise := startNode(t, memberConfig(1, laggard(release, &evals)))
+			defer tortoise.stop(t)
+			hare := startNode(t, memberConfig(4, slowBuilder(200*time.Microsecond, &evals)))
+			defer hare.stop(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			for label, n := range map[string]*fedNode{"tortoise": tortoise, "hare": hare} {
+				go service.JoinFleet(ctx, service.JoinConfig{Coordinator: coordSrv.URL, Advertise: n.srv.URL,
+					Name: label, Interval: 50 * time.Millisecond})
+			}
+			waitAliveMembers(t, coord, 2)
+
+			s := spec
+			s.Federated = true
+			st, err := coord.Submit(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitState(t, coord, st.ID, service.StateCompleted)
+			unblock() // let the stalled original observe its cancellation
+			joined := strings.Join(final.Warnings, "\n")
+			if !strings.Contains(joined, "speculatively re-dispatched") {
+				t.Errorf("warnings %q record no speculative dispatch", final.Warnings)
+			}
+			if !strings.Contains(joined, "finished first") {
+				t.Errorf("warnings %q do not record the speculative copy winning", final.Warnings)
+			}
+			if final.Done != final.Planned {
+				t.Errorf("done %d of planned %d after speculation", final.Done, final.Planned)
+			}
+			got, err := coord.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("Result after speculative re-execution differs from the single-node run (double-tally)")
+			}
+			if v := metricValue(t, coord, "sfid_speculative_parts_total"); v < 1 {
+				t.Errorf("sfid_speculative_parts_total = %v, want >= 1", v)
+			}
+			// The losing original must have been canceled, not left crawling.
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				canceled := false
+				for _, j := range tortoise.svc.List() {
+					if j.State == service.StateCanceled {
+						canceled = true
+					}
+				}
+				if canceled {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the straggling original was never canceled on its member")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
 // TestFederatedDegradedLocalFallback pins the zero-alive fallback: a
 // federated campaign submitted to a coordinator whose fleet never
-// materializes must not stall forever — after DegradedAfter the
+// materializes must not stall forever — after MemberTimeout the
 // coordinator runs the orphaned window itself as an ordinary
 // checkpointed ranged job, records the degradation in the warnings,
 // and the Result is byte-identical to the direct run.
@@ -227,10 +243,8 @@ func TestFederatedDegradedLocalFallback(t *testing.T) {
 	coord, err := service.New(service.Config{
 		Dir:            t.TempDir(),
 		Coordinator:    true,
-		MemberTimeout:  time.Hour,
+		MemberTimeout:  50 * time.Millisecond,
 		FederationPoll: 10 * time.Millisecond,
-		DegradedAfter:  50 * time.Millisecond,
-		StragglerRatio: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,15 +38,23 @@ import (
 // the assignment document (re-registration is not required for
 // polling).
 //
-// Failure model: a member that stops heartbeating past
-// Config.MemberTimeout *and* stops answering polls is declared dead;
-// its unfetched windows are reassigned to live members (each reassigned
-// window restarts from its beginning — member-local checkpoints do not
-// travel). A member job that *fails* (as opposed to becoming
-// unreachable) fails the federated job: the same spec would fail
-// anywhere, so reassignment would loop. Draws are never double-tallied:
-// exactly one fetched Result per window enters the merge, and the merge
-// itself rejects overlaps and gaps.
+// Failure model: one lease rule over a per-window list of copies (the
+// backup tasks of MapReduce, Dean & Ghemawat, OSDI 2004). A copy is a
+// member job or the coordinator's own ranged run. Each poll cycle polls
+// every copy and merges the first to complete; drops a copy whose
+// member lost the job or stopped both heartbeating past
+// Config.MemberTimeout and answering; offers every window without a
+// copy to the least-loaded live member, or, when the window has gone
+// without a running copy for MemberTimeout while no member was
+// placeable, runs it on the coordinator; and backs up a lone copy that
+// an idle member would overtake by at least MemberTimeout, or whose
+// progress stood still for MemberTimeout. Every new copy starts the
+// window from its beginning — member-local checkpoints do not travel.
+// A member job that *fails* (as opposed to becoming unreachable) fails
+// the federated job: the same spec would fail anywhere, so reassignment
+// would loop. Draws are never double-tallied: exactly one fetched
+// Result per window enters the merge, the other copies are canceled,
+// and the merge itself rejects overlaps and gaps.
 
 // Federation sentinels; the HTTP layer maps ErrNotCoordinator to 409
 // and ErrUnknownMember to 404 (a member receiving 404 on heartbeat
@@ -83,8 +91,8 @@ type MemberStatus struct {
 	JoinedAt time.Time `json:"joined_at"`
 	LastSeen time.Time `json:"last_seen"`
 	// Alive reports whether the member heartbeat is within the
-	// coordinator's member timeout; dead members get their unfetched
-	// draw windows reassigned.
+	// coordinator's member timeout; a dead member's unreachable copies
+	// are dropped and their draw windows offered to live members.
 	Alive bool `json:"alive"`
 }
 
@@ -270,41 +278,83 @@ func (s *Service) memberAliveByURL(url string) bool {
 	return false
 }
 
-// fedPart is one draw window's assignment state inside the durable
-// federation document.
+// fedCopy is one evaluation of a draw window: a member job, or — with
+// an empty URL — the coordinator's own checkpointed ranged run. Job is
+// empty while a member copy waits to be submitted. Label is the
+// member's display label at assignment, the identity stamped on the
+// window's trace events and fleet-view rows.
+type fedCopy struct {
+	URL   string `json:"url,omitempty"`
+	Job   string `json:"job,omitempty"`
+	Label string `json:"label"`
+}
+
+func (c fedCopy) local() bool { return c.URL == "" }
+
+// fedPart is one draw window's state inside the durable federation
+// document.
 type fedPart struct {
 	// Ranges is the window of each plan stratum this part covers.
 	Ranges []core.DrawRange `json:"ranges"`
-	// MemberURL / MemberJob locate the member job evaluating the part;
-	// empty while unassigned (or after a reassignment reset). MemberName
-	// is the member's display label at assignment time — the identity
-	// stamped on the part's trace events and fleet-view rows.
-	MemberURL  string `json:"member_url,omitempty"`
-	MemberJob  string `json:"member_job,omitempty"`
-	MemberName string `json:"member_name,omitempty"`
+	// Copies are the window's evaluations in flight, oldest first. The
+	// first to complete enters the merge and the others are canceled,
+	// so the merged Result cannot double-tally a draw; once Fetched,
+	// Copies holds exactly the merged copy.
+	Copies []fedCopy `json:"copies,omitempty"`
 	// Fetched marks that the part's Result document is on disk
 	// (partPath) and will enter the merge; Done / Critical carry its
-	// final tallies for progress reporting.
-	Fetched  bool  `json:"fetched,omitempty"`
-	Done     int64 `json:"done,omitempty"`
-	Critical int64 `json:"critical,omitempty"`
+	// final tallies for progress reporting, and Rate the merged copy's
+	// own pace (its done draws over its member's started–finished span)
+	// — what its member offers when it backs up a slower copy.
+	Fetched  bool    `json:"fetched,omitempty"`
+	Done     int64   `json:"done,omitempty"`
+	Critical int64   `json:"critical,omitempty"`
+	Rate     float64 `json:"rate,omitempty"`
 	// AbandonedLanes is the member job's final watchdog-abandoned lane
 	// count, surfaced in the coordinator's merged warnings.
 	AbandonedLanes int64 `json:"abandoned_lanes,omitempty"`
-	// Reassigned counts how many dead members this part was moved off.
+	// Reassigned counts how often the window lost its last copy.
 	Reassigned int `json:"reassigned,omitempty"`
-	// SpecMemberURL / SpecMemberJob / SpecMemberName locate the
-	// speculative duplicate of a straggling window while one is in
-	// flight. Exactly one of the two copies enters the merge — the first
-	// to complete — and the other is canceled before merging, so the
-	// merged Result cannot double-tally a draw.
-	SpecMemberURL  string `json:"spec_member_url,omitempty"`
-	SpecMemberJob  string `json:"spec_member_job,omitempty"`
-	SpecMemberName string `json:"spec_member_name,omitempty"`
-	// Local marks a window running degraded on the coordinator itself
-	// (no placeable member); it persists so a restarted coordinator
-	// resumes the local run from its part checkpoint.
-	Local bool `json:"local,omitempty"`
+}
+
+// running reports whether the window has a copy that is evaluating it:
+// the coordinator's own, or one submitted to a member.
+func (p *fedPart) running() bool {
+	for _, c := range p.Copies {
+		if c.local() || c.Job != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// fedPartV1 is the single-holder form of a part that federation
+// documents carried before copy lists: one member job (member_*), an
+// optional speculative duplicate (spec_member_*), or a local run.
+// loadOrInitFed turns it into Copies, so a job written by an older
+// coordinator resumes without re-evaluating anything.
+type fedPartV1 struct {
+	MemberURL      string `json:"member_url"`
+	MemberJob      string `json:"member_job"`
+	MemberName     string `json:"member_name"`
+	SpecMemberURL  string `json:"spec_member_url"`
+	SpecMemberJob  string `json:"spec_member_job"`
+	SpecMemberName string `json:"spec_member_name"`
+	Local          bool   `json:"local"`
+}
+
+func (v fedPartV1) copies() []fedCopy {
+	var out []fedCopy
+	switch {
+	case v.Local:
+		out = append(out, fedCopy{Label: localMemberLabel})
+	case v.MemberJob != "":
+		out = append(out, fedCopy{URL: v.MemberURL, Job: v.MemberJob, Label: v.MemberName})
+	}
+	if v.SpecMemberJob != "" {
+		out = append(out, fedCopy{URL: v.SpecMemberURL, Job: v.SpecMemberJob, Label: v.SpecMemberName})
+	}
+	return out
 }
 
 // fedDoc is the durable merge state of one federated job
@@ -313,7 +363,7 @@ type fedPart struct {
 // (The one unavoidable crash window: a crash between a member-submit
 // succeeding and the document persisting leaves an orphan member job —
 // its draws may be evaluated twice on the fleet, but never tallied
-// twice, because only the document's own job enters the merge.)
+// twice, because only the document's own copies can enter the merge.)
 type fedDoc struct {
 	ID          string    `json:"id"`
 	Fingerprint uint64    `json:"plan_fingerprint"`
@@ -349,11 +399,20 @@ func (s *Service) persistFed(fed *fedDoc) error {
 // starts a fresh one. A document written for a different plan
 // fingerprint is discarded with a warning (the spec on disk is the
 // job's identity; a fingerprint mismatch means the document is stale).
+// Parts in the older single-holder form get their copy lists here.
 func (s *Service) loadOrInitFed(j *job, fingerprint uint64) *fedDoc {
 	data, err := os.ReadFile(s.fedPath(j.id))
 	if err == nil {
 		var fed fedDoc
-		if jerr := json.Unmarshal(data, &fed); jerr == nil && fed.Fingerprint == fingerprint {
+		var v1 struct {
+			Parts []fedPartV1 `json:"parts"`
+		}
+		if json.Unmarshal(data, &fed) == nil && json.Unmarshal(data, &v1) == nil && fed.Fingerprint == fingerprint {
+			for k := range fed.Parts {
+				if fed.Parts[k].Copies == nil {
+					fed.Parts[k].Copies = v1.Parts[k].copies()
+				}
+			}
 			return &fed
 		}
 		s.warnf("job %s: discarding stale federation state %s", j.id, s.fedPath(j.id))
@@ -388,46 +447,42 @@ func (s *Service) appendWarning(j *job, format string, args ...any) {
 	s.mu.Unlock()
 }
 
-// placeableMembers are the members a part can be dispatched to right
-// now: alive by heartbeat *and* with a non-tripped circuit breaker.
-// Skipping open breakers at placement time keeps a flapping member
-// from collecting fresh assignments it will immediately strand.
-func (s *Service) placeableMembers() []MemberStatus {
-	alive := s.aliveMembers()
-	out := alive[:0]
-	for _, m := range alive {
-		if s.fed.available(m.URL) {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // fedRuntime is the in-memory (non-durable) per-run state of one
-// federated job: round-robin assignment position, per-part progress
-// health for straggler detection, live degraded-mode local runs, and
-// the fleet-wide placement-outage clock.
+// federated job, all on the coordinator's own clock.
 type fedRuntime struct {
-	assignSeq int
-	health    []partHealth
-	local     map[int]*localRun
-	// unplacedSince is when the coordinator last began seeing zero
-	// placeable members (zero while any member is placeable).
-	unplacedSince time.Time
+	start time.Time
+	// orphaned is, per window, since when it has had neither a running
+	// copy nor a placeable member to take one.
+	orphaned []time.Time
+	// leases holds each member copy's latest successful poll (for a copy
+	// not yet submitted, its offer).
+	leases map[fedCopy]lease
+	// local holds the live runs of the coordinator's own copies.
+	local map[int]*localRun
 }
 
-// partHealth tracks one part's progress rate: an EWMA of per-cycle
-// done-injection deltas, frozen once the part is fetched so completed
-// parts keep anchoring the fleet median.
-type partHealth struct {
-	lastDone int64
-	rate     float64
-	slow     int // consecutive cycles below the straggler threshold
+// lease is what the coordinator last learned of one member copy: its
+// reported progress and rate, and when that progress last advanced.
+type lease struct {
+	done    int64
+	rate    float64
+	renewed time.Time
 }
 
-// localRun is one degraded-mode part running on the coordinator's own
-// engine. done closes when the engine returns; prog is the live
-// progress snapshot for the fleet view.
+// renew records a successful poll of c; the lease's deadline moves
+// only when the reported progress advanced (or c is new).
+func (rt *fedRuntime) renew(c fedCopy, st JobStatus) {
+	l, ok := rt.leases[c]
+	if !ok || st.Done > l.done {
+		l.renewed = time.Now()
+	}
+	l.done, l.rate = st.Done, st.Rate
+	rt.leases[c] = l
+}
+
+// localRun is one coordinator-side copy running on the local engine.
+// done closes when the engine returns; prog is the live progress
+// snapshot for the fleet view.
 type localRun struct {
 	done chan struct{}
 	res  *core.Result
@@ -443,10 +498,10 @@ func (lr *localRun) progress() core.Progress {
 }
 
 // runFederated drives one federated job end to end: split the plan
-// across the live fleet, keep every window assigned to a placeable
-// member (or, degraded, to the local engine), fetch finished windows,
-// and merge them in draw order. It owns the job's terminal transition
-// exactly like runJob does.
+// across the live fleet, keep every window evaluated by at least one
+// copy, fetch the first finished copy of each window, and merge them in
+// draw order. It owns the job's terminal transition exactly like
+// runJob does.
 func (s *Service) runFederated(ctx context.Context, j *job) {
 	_, plan, err := buildCampaign(j.spec, s.cfg.BuildEvaluator)
 	if err != nil {
@@ -463,7 +518,7 @@ func (s *Service) runFederated(ctx context.Context, j *job) {
 	fed := s.loadOrInitFed(j, core.PlanFingerprint(plan))
 	ticker := time.NewTicker(s.cfg.FederationPoll)
 	defer ticker.Stop()
-	rt := &fedRuntime{local: map[int]*localRun{}}
+	rt := &fedRuntime{start: time.Now(), leases: map[fedCopy]lease{}, local: map[int]*localRun{}}
 	for {
 		done, err := s.fedStep(ctx, j, plan, fed, rt)
 		if err != nil {
@@ -476,19 +531,14 @@ func (s *Service) runFederated(ctx context.Context, j *job) {
 		select {
 		case <-ctx.Done():
 			if s.isUserCancel(j) {
-				// Best-effort: stop the member jobs (primaries and any
-				// speculative copies), wait out the local runs, then drop
-				// the merge state — an individually canceled job never
-				// resumes.
+				// Best-effort: stop every member copy, wait out the local
+				// runs, then drop the merge state — an individually
+				// canceled job never resumes.
 				for _, p := range fed.Parts {
-					if p.Fetched {
-						continue
-					}
-					if p.MemberJob != "" && !p.Local {
-						s.cancelMemberJob(p.MemberURL, p.MemberJob)
-					}
-					if p.SpecMemberJob != "" {
-						s.cancelMemberJob(p.SpecMemberURL, p.SpecMemberJob)
+					for _, c := range p.Copies {
+						if !p.Fetched && c.Job != "" {
+							s.cancelMemberJob(c.URL, c.Job)
+						}
 					}
 				}
 				for _, lr := range rt.local {
@@ -499,8 +549,8 @@ func (s *Service) runFederated(ctx context.Context, j *job) {
 				return
 			}
 			// Coordinator shutdown: the merge state is durable, the member
-			// jobs keep running, and local degraded parts checkpointed; the
-			// next daemon run re-attaches and resumes.
+			// jobs keep running, and local copies checkpointed; the next
+			// daemon run re-attaches and resumes.
 			s.repending(j, s.fedDone(j), s.fedCritical(j))
 			return
 		case <-ticker.C:
@@ -509,34 +559,36 @@ func (s *Service) runFederated(ctx context.Context, j *job) {
 }
 
 // cancelMemberJob best-effort stops one member job (the cancel path
-// and the speculation loser). A short deadline bounds the retries —
-// an unreachable member's job dies with the member anyway.
+// and the copies that lost a window). A short deadline bounds the
+// retries — an unreachable member's job dies with the member anyway.
 func (s *Service) cancelMemberJob(memberURL, jobID string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*s.cfg.MemberRPCTimeout)
 	defer cancel()
 	_ = s.fed.api(ctx, memberURL, http.MethodDelete, "/api/v1/campaigns/"+jobID, nil, nil)
 }
 
-// fedStep advances the federated job one poll cycle. It returns done
-// when the job reached a terminal transition (completed), and a non-nil
+// fedStep advances the federated job one poll cycle under one lease
+// rule: poll every copy, offer each window that has no copy, and back
+// up each copy a finished member would overtake. It returns done when
+// the job reached a terminal transition (completed), and a non-nil
 // error for unrecoverable failures.
 func (s *Service) fedStep(ctx context.Context, j *job, plan *core.Plan, fed *fedDoc, rt *fedRuntime) (bool, error) {
-	placeable := s.placeableMembers()
-	if len(placeable) > 0 {
-		rt.unplacedSince = time.Time{}
-	} else if rt.unplacedSince.IsZero() {
-		rt.unplacedSince = time.Now()
+	// Members are listed by ID; a placeable one is alive and its
+	// circuit breaker admits calls.
+	alive := s.aliveMembers()
+	var placeable []MemberStatus
+	for _, m := range alive {
+		if s.fed.available(m.URL) {
+			placeable = append(placeable, m)
+		}
 	}
-	degraded := len(placeable) == 0 && s.cfg.DegradedAfter >= 0 &&
-		time.Since(rt.unplacedSince) >= s.cfg.DegradedAfter
-
-	// Split once, by the placeable fleet size at first sighting — or,
-	// when the placement outage outlasts DegradedAfter before any fleet
-	// was ever seen, into a single window the coordinator runs itself.
+	// Split once, by the live fleet size at first sighting — or, when no
+	// fleet appears within MemberTimeout, into a single window the
+	// coordinator takes itself.
 	if fed.Parts == nil {
-		n := len(placeable)
+		n := len(alive)
 		if n == 0 {
-			if !degraded {
+			if time.Since(rt.start) < s.cfg.MemberTimeout {
 				return false, nil // no fleet yet; keep waiting
 			}
 			n = 1
@@ -553,277 +605,210 @@ func (s *Service) fedStep(ctx context.Context, j *job, plan *core.Plan, fed *fed
 			return false, err
 		}
 	}
-	if len(rt.health) != len(fed.Parts) {
-		rt.health = make([]partHealth, len(fed.Parts))
+	if rt.orphaned == nil {
+		rt.orphaned = make([]time.Time, len(fed.Parts))
+		for k := range rt.orphaned {
+			rt.orphaned[k] = rt.start
+		}
 	}
 
-	parts := make([]FleetPart, len(fed.Parts))
+	// 1. Poll every copy.
+	views := make([]FleetPart, len(fed.Parts))
 	for k := range fed.Parts {
-		p := &fed.Parts[k]
-		parts[k] = FleetPart{
-			Job:         j.id,
-			Part:        k,
-			Member:      p.MemberName,
-			MemberURL:   p.MemberURL,
-			MemberJob:   p.MemberJob,
-			Planned:     rangesLen(p.Ranges),
-			Speculative: p.SpecMemberJob != "",
-		}
-		if p.Fetched {
-			parts[k].Done = p.Done
-			parts[k].Critical = p.Critical
-			parts[k].Fetched = true
-			parts[k].Speculative = false
-			continue
-		}
-		if p.Local {
-			if err := s.stepLocalPart(ctx, j, fed, k, rt, &parts[k]); err != nil {
-				return false, err
-			}
-			continue
-		}
-		if p.MemberJob == "" {
-			if degraded {
-				// Degraded fallback: nothing has been placeable for longer
-				// than DegradedAfter — run the orphaned window locally as an
-				// ordinary checkpointed ranged job instead of stalling.
-				p.Local = true
-				if err := s.persistFed(fed); err != nil {
-					return false, err
-				}
-				s.appendWarning(j, "part %d: no placeable member for %s; running the window locally on the coordinator (degraded mode)",
-					k, time.Since(rt.unplacedSince).Round(time.Second))
-				if err := s.stepLocalPart(ctx, j, fed, k, rt, &parts[k]); err != nil {
-					return false, err
-				}
-				continue
-			}
-			if err := s.assignPart(ctx, j, fed, k, rt, placeable); err != nil {
-				return false, err
-			}
-			parts[k].Member = fed.Parts[k].MemberName
-			parts[k].MemberURL = fed.Parts[k].MemberURL
-			parts[k].MemberJob = fed.Parts[k].MemberJob
-			continue
-		}
-		var st JobStatus
-		err := s.fed.api(ctx, p.MemberURL, http.MethodGet, "/api/v1/campaigns/"+p.MemberJob, nil, &st)
-		if err != nil {
-			var fatal *fatalMemberError
-			if !errors.As(err, &fatal) && s.memberAliveByURL(p.MemberURL) {
-				continue // transient (or breaker-open): the member still heartbeats
-			}
-			// Dead member (or a member that lost the job). A speculative
-			// copy in flight is promoted to primary — its run is warm —
-			// instead of a cold reassignment; otherwise the window resets
-			// for reassignment. Nothing from the lost run is tallied, so no
-			// draw can be counted twice.
-			if p.SpecMemberJob != "" {
-				s.appendWarning(j, "part %d: member %s unreachable or lost job %s; promoting the speculative copy on %s",
-					k, p.MemberURL, p.MemberJob, p.SpecMemberURL)
-				p.MemberURL, p.MemberJob, p.MemberName = p.SpecMemberURL, p.SpecMemberJob, p.SpecMemberName
-				p.SpecMemberURL, p.SpecMemberJob, p.SpecMemberName = "", "", ""
-				rt.health[k] = partHealth{}
-				parts[k].Member, parts[k].MemberURL, parts[k].MemberJob = p.MemberName, p.MemberURL, p.MemberJob
-				parts[k].Speculative = false
-			} else {
-				s.appendWarning(j, "part %d: member %s unreachable or lost job %s; reassigning its draw ranges (attempt %d)",
-					k, p.MemberURL, p.MemberJob, p.Reassigned+1)
-				p.MemberURL, p.MemberJob, p.MemberName = "", "", ""
-				p.Reassigned++
-				rt.health[k] = partHealth{}
-				parts[k].Member, parts[k].MemberURL, parts[k].MemberJob = "", "", ""
-			}
-			if err := s.persistFed(fed); err != nil {
-				return false, err
-			}
-			continue
-		}
-		switch st.State {
-		case StateCompleted:
-			if err := s.completePart(ctx, j, fed, k, st, false); err != nil {
-				var fatal *fatalMemberError
-				if errors.As(err, &fatal) {
-					return false, err
-				}
-				continue // transient fetch failure: retry next cycle
-			}
-			parts[k].Done = fed.Parts[k].Done
-			parts[k].Critical = fed.Parts[k].Critical
-			parts[k].Fetched = true
-			parts[k].Speculative = false
-		case StateFailed, StateCanceled:
-			// A failing spec fails everywhere; reassigning would loop.
-			return false, fmt.Errorf("service: member %s job %s %s: %s",
-				p.MemberURL, p.MemberJob, st.State, st.Error)
-		default:
-			parts[k].Done = st.Done
-			parts[k].Critical = st.Critical
-			parts[k].Rate = st.Rate
-			// Health fold: EWMA of per-cycle done deltas, the straggler
-			// detector's progress-rate signal.
-			h := &rt.health[k]
-			delta := st.Done - h.lastDone
-			if delta < 0 {
-				delta = 0
-			}
-			h.lastDone = st.Done
-			h.rate = 0.5*h.rate + 0.5*float64(delta)
-		}
-		if p.SpecMemberJob != "" && !p.Fetched {
-			if err := s.stepSpeculative(ctx, j, fed, k, &parts[k]); err != nil {
+		views[k] = FleetPart{Job: j.id, Part: k, Planned: rangesLen(fed.Parts[k].Ranges)}
+		if !fed.Parts[k].Fetched {
+			if err := s.pollPart(ctx, j, fed, k, rt, &views[k]); err != nil {
 				return false, err
 			}
 		}
 	}
-	s.checkStragglers(ctx, j, fed, rt, placeable)
-	allFetched := s.publishFedProgress(j, parts)
-	if !allFetched {
+
+	// 2. Offer each window without a copy to the live member holding the
+	// fewest unfetched copies (ties: lower ID). The copy is submitted
+	// once that member's breaker admits calls; until then it waits, as
+	// polls do while a member heartbeats. A window that has gone without
+	// a submitted copy for MemberTimeout while no member was placeable
+	// is taken by the coordinator.
+	held := map[string]int{}
+	for _, p := range fed.Parts {
+		for _, c := range p.Copies {
+			if !p.Fetched {
+				held[c.URL]++
+			}
+		}
+	}
+	now := time.Now()
+	for k := range fed.Parts {
+		p := &fed.Parts[k]
+		if p.Fetched || p.running() || len(placeable) > 0 {
+			rt.orphaned[k] = now
+		}
+		if !p.Fetched && len(p.Copies) == 0 && len(alive) > 0 {
+			m := alive[0]
+			for _, o := range alive[1:] {
+				if held[o.URL] < held[m.URL] {
+					m = o
+				}
+			}
+			if err := s.addCopy(ctx, j, fed, k, m); err != nil {
+				return false, err
+			}
+			held[m.URL]++
+		}
+		if p.Fetched || now.Sub(rt.orphaned[k]) < s.cfg.MemberTimeout {
+			continue
+		}
+		p.Copies = []fedCopy{{Label: localMemberLabel}}
+		if err := s.persistFed(fed); err != nil {
+			return false, err
+		}
+		s.appendWarning(j, "part %d: no placeable member for %s; running the window locally on the coordinator (degraded mode)",
+			k, now.Sub(rt.orphaned[k]).Round(time.Second))
+		if err := s.stepLocalPart(ctx, j, fed, k, rt, &views[k]); err != nil {
+			return false, err
+		}
+	}
+
+	// 3. Back up a window's lone member copy on an idle member — one
+	// holding no unfetched copy of this job, which has already finished
+	// a window of it — when that member would overtake the copy.
+	for k := range fed.Parts {
+		p := &fed.Parts[k]
+		if p.Fetched || len(p.Copies) != 1 || p.Copies[0].local() {
+			continue
+		}
+		l, polled := rt.leases[p.Copies[0]]
+		if !polled {
+			continue
+		}
+		for _, m := range placeable {
+			idle, finished := finishedRate(fed, m.URL)
+			if held[m.URL] > 0 || !finished || !s.behind(l, rangesLen(p.Ranges), idle) {
+				continue
+			}
+			held[m.URL]++
+			s.specParts.Inc()
+			s.appendWarning(j, "part %d: copy on %s at %d of %d draws, %.0f/s; %s finished a window at %.0f/s, so the window was speculatively re-dispatched to it",
+				k, p.Copies[0].URL, l.done, rangesLen(p.Ranges), l.rate, m.URL, idle)
+			if err := s.addCopy(ctx, j, fed, k, m); err != nil {
+				return false, err
+			}
+			break
+		}
+	}
+
+	for k := range fed.Parts {
+		p, v := &fed.Parts[k], &views[k]
+		if len(p.Copies) > 0 {
+			v.Member, v.MemberURL, v.MemberJob = p.Copies[0].Label, p.Copies[0].URL, p.Copies[0].Job
+		}
+		v.Speculative = !p.Fetched && len(p.Copies) > 1
+		if p.Fetched {
+			v.Done, v.Critical, v.Rate, v.Fetched = p.Done, p.Critical, 0, true
+		}
+	}
+	if !s.publishFedProgress(j, views) {
 		return false, nil
 	}
 	return true, s.mergeFederated(j, plan, fed)
 }
 
-// checkStragglers compares every running part's progress rate against
-// the fleet median and speculatively re-dispatches persistent
-// stragglers to a spare member. Fetched parts keep their final
-// (frozen) rate in the median pool, so a two-part fleet can still
-// recognize its slow half after the fast half finishes.
-func (s *Service) checkStragglers(ctx context.Context, j *job, fed *fedDoc, rt *fedRuntime, placeable []MemberStatus) {
-	if s.cfg.StragglerRatio < 0 || len(fed.Parts) < 2 {
-		return
-	}
-	rates := make([]float64, 0, len(rt.health))
-	for k := range fed.Parts {
-		if fed.Parts[k].Local {
-			continue
-		}
-		rates = append(rates, rt.health[k].rate)
-	}
-	if len(rates) < 2 {
-		return
-	}
-	sort.Float64s(rates)
-	median := rates[len(rates)/2]
-	if median <= 0 {
-		return
-	}
-	for k := range fed.Parts {
-		p := &fed.Parts[k]
-		h := &rt.health[k]
-		if p.Fetched || p.Local || p.MemberJob == "" || p.SpecMemberJob != "" {
-			h.slow = 0
-			continue
-		}
-		if h.rate < s.cfg.StragglerRatio*median {
-			h.slow++
-		} else {
-			h.slow = 0
-		}
-		if h.slow < s.cfg.StragglerCycles {
-			continue
-		}
-		h.slow = 0
-		s.speculatePart(ctx, j, fed, k, placeable)
-	}
-}
-
-// speculatePart dispatches a duplicate of part k's window to a spare
-// member: any placeable member other than the straggler's, preferring
-// one with no unfetched primary window of its own. Failing to find or
-// reach a spare just waits for the next straggler verdict.
-func (s *Service) speculatePart(ctx context.Context, j *job, fed *fedDoc, k int, placeable []MemberStatus) {
+// pollPart polls every copy of window k. The first copy found complete
+// is fetched and merged and the others are canceled; a copy that failed
+// or was canceled fails the job (the same spec would fail anywhere); a
+// copy whose poll fails fatally, or fails while its member is dead by
+// heartbeat, is dropped — nothing from it was tallied, so no draw can
+// be counted twice.
+func (s *Service) pollPart(ctx context.Context, j *job, fed *fedDoc, k int, rt *fedRuntime, view *FleetPart) error {
 	p := &fed.Parts[k]
-	busy := map[string]bool{}
-	for i := range fed.Parts {
-		if !fed.Parts[i].Fetched && fed.Parts[i].MemberJob != "" {
-			busy[fed.Parts[i].MemberURL] = true
+	for i := 0; i < len(p.Copies); i++ {
+		c := p.Copies[i]
+		if c.local() {
+			return s.stepLocalPart(ctx, j, fed, k, rt, view) // a local copy is always alone
 		}
-	}
-	var spare *MemberStatus
-	for i := range placeable {
-		m := &placeable[i]
-		if m.URL == p.MemberURL {
-			continue
-		}
-		if !busy[m.URL] {
-			spare = m
-			break
-		}
-		if spare == nil {
-			spare = m
-		}
-	}
-	if spare == nil {
-		return
-	}
-	spec := s.partSpec(j, p.Ranges, k, memberLabel(*spare))
-	var st JobStatus
-	if err := s.fed.api(ctx, spare.URL, http.MethodPost, "/api/v1/campaigns", spec, &st); err != nil {
-		return // transient or rejected: retry at the next straggler verdict
-	}
-	p.SpecMemberURL = spare.URL
-	p.SpecMemberJob = st.ID
-	p.SpecMemberName = memberLabel(*spare)
-	s.specParts.Inc()
-	s.appendWarning(j, "part %d: progress on %s below %.0f%% of the fleet median for %d cycles; speculatively re-dispatched to %s",
-		k, p.MemberURL, s.cfg.StragglerRatio*100, s.cfg.StragglerCycles, spare.URL)
-	if err := s.persistFed(fed); err != nil {
-		s.warnf("job %s: %v", j.id, err)
-	}
-}
-
-// stepSpeculative polls part k's speculative duplicate. Completion
-// makes it the merged copy (completePart cancels the original as the
-// loser); losing the copy just drops it — the primary still owns the
-// window.
-func (s *Service) stepSpeculative(ctx context.Context, j *job, fed *fedDoc, k int, view *FleetPart) error {
-	p := &fed.Parts[k]
-	var st JobStatus
-	err := s.fed.api(ctx, p.SpecMemberURL, http.MethodGet, "/api/v1/campaigns/"+p.SpecMemberJob, nil, &st)
-	if err != nil {
-		var fatal *fatalMemberError
-		if !errors.As(err, &fatal) && s.memberAliveByURL(p.SpecMemberURL) {
-			return nil // transient: next cycle
-		}
-		s.appendWarning(j, "part %d: speculative member %s unreachable or lost job %s; dropping the copy",
-			k, p.SpecMemberURL, p.SpecMemberJob)
-		p.SpecMemberURL, p.SpecMemberJob, p.SpecMemberName = "", "", ""
-		view.Speculative = false
-		return s.persistFed(fed)
-	}
-	switch st.State {
-	case StateCompleted:
-		if err := s.completePart(ctx, j, fed, k, st, true); err != nil {
-			var fatal *fatalMemberError
-			if errors.As(err, &fatal) {
-				// The copy's documents are unusable; keep the primary.
-				s.appendWarning(j, "part %d: speculative copy unusable (%v); dropping it", k, err)
-				p.SpecMemberURL, p.SpecMemberJob, p.SpecMemberName = "", "", ""
-				view.Speculative = false
-				return s.persistFed(fed)
+		if c.Job == "" && s.memberAliveByURL(c.URL) {
+			rt.renew(c, JobStatus{}) // an unsubmitted copy's lease runs from its offer
+			if err := s.submitCopy(ctx, j, fed, k, i); err != nil {
+				return err
 			}
-			return nil // transient fetch failure: retry next cycle
+			continue
 		}
-		view.Done = p.Done
-		view.Critical = p.Critical
-		view.Fetched = true
-		view.Speculative = false
-		view.Member, view.MemberURL, view.MemberJob = p.MemberName, p.MemberURL, p.MemberJob
-	case StateFailed, StateCanceled:
-		s.appendWarning(j, "part %d: speculative copy on %s %s; dropping it", k, p.SpecMemberURL, st.State)
-		p.SpecMemberURL, p.SpecMemberJob, p.SpecMemberName = "", "", ""
-		view.Speculative = false
-		return s.persistFed(fed)
-	default:
-		// Two copies race; the fleet view shows whichever is farther.
-		if st.Done > view.Done {
-			view.Done = st.Done
-			view.Critical = st.Critical
-			view.Rate = st.Rate
+		var st JobStatus
+		err := ErrUnknownMember // an unsubmitted copy whose member died
+		if c.Job != "" {
+			err = s.fed.api(ctx, c.URL, http.MethodGet, "/api/v1/campaigns/"+c.Job, nil, &st)
+		}
+		var fatal *fatalMemberError
+		if err != nil {
+			if !errors.As(err, &fatal) && s.memberAliveByURL(c.URL) {
+				continue // transient (or breaker-open): the member still heartbeats
+			}
+			p.Copies = append(p.Copies[:i:i], p.Copies[i+1:]...)
+			i--
+			if len(p.Copies) == 0 {
+				p.Reassigned++
+				s.appendWarning(j, "part %d: member %s unreachable or lost its job %q; reassigning its draw ranges (attempt %d)",
+					k, c.URL, c.Job, p.Reassigned)
+			} else {
+				s.appendWarning(j, "part %d: member %s unreachable or lost its job %q; dropping its copy", k, c.URL, c.Job)
+			}
+			if err := s.persistFed(fed); err != nil {
+				return err
+			}
+			continue
+		}
+		switch st.State {
+		case StateCompleted:
+			if err := s.completePart(ctx, j, fed, k, i, st); err != nil {
+				if errors.As(err, &fatal) {
+					return err
+				}
+				continue // transient fetch failure: retry next cycle
+			}
+			return nil
+		case StateFailed, StateCanceled:
+			return fmt.Errorf("service: member %s job %s %s: %s", c.URL, c.Job, st.State, st.Error)
+		}
+		rt.renew(c, st)
+		if st.Done >= view.Done { // racing copies: show the farther one
+			view.Done, view.Critical, view.Rate = st.Done, st.Critical, st.Rate
 		}
 	}
 	return nil
+}
+
+// finishedRate reports whether the member at url has finished (had
+// merged) a window of this job, and the pace it finished at.
+func finishedRate(fed *fedDoc, url string) (float64, bool) {
+	for _, p := range fed.Parts {
+		if p.Fetched && len(p.Copies) > 0 && p.Copies[0].URL == url {
+			return p.Rate, true
+		}
+	}
+	return 0, false
+}
+
+// behind reports whether an idle member that finishes windows at rate
+// idle should back up the leased copy. It should when it would finish
+// the whole window at least one lease length (MemberTimeout) before the
+// copy finishes what it has left: window/idle + MemberTimeout <
+// (window − done)/rate, with done and both rates as the members
+// themselves last reported them, so no clocks are compared across
+// hosts. Equal speeds never qualify, and the lease length keeps a
+// passing slowdown — members sharing a host's CPUs — from buying a
+// duplicate that cannot win by much. A copy that has reported no rate
+// yet is not judged on rate (members report progress only every so
+// many draws), but once its reported progress has not advanced for
+// MemberTimeout — stalled, or unreachable while it heartbeats — its
+// lease has lapsed and it qualifies whatever its last rate said.
+func (s *Service) behind(l lease, window int64, idle float64) bool {
+	if time.Since(l.renewed) >= s.cfg.MemberTimeout {
+		return true
+	}
+	if l.rate <= 0 || idle <= 0 {
+		return false
+	}
+	return float64(window)/idle+s.cfg.MemberTimeout.Seconds() < float64(window-l.done)/l.rate
 }
 
 // rangesLen sums the draw windows of one part.
@@ -835,28 +820,34 @@ func rangesLen(ranges []core.DrawRange) int64 {
 	return n
 }
 
-// assignPart submits part k's window to a placeable member and records
-// the assignment durably. With no placeable member the part simply
-// stays unassigned until one appears (or degraded mode takes it over).
-func (s *Service) assignPart(ctx context.Context, j *job, fed *fedDoc, k int, rt *fedRuntime, placeable []MemberStatus) error {
-	if len(placeable) == 0 {
-		return nil
+// addCopy assigns a new copy of window k to member m and submits it
+// when m's breaker admits calls.
+func (s *Service) addCopy(ctx context.Context, j *job, fed *fedDoc, k int, m MemberStatus) error {
+	p := &fed.Parts[k]
+	p.Copies = append(p.Copies, fedCopy{URL: m.URL, Label: memberLabel(m)})
+	if !s.fed.available(m.URL) {
+		return s.persistFed(fed)
 	}
-	target := placeable[rt.assignSeq%len(placeable)]
-	rt.assignSeq++
-	spec := s.partSpec(j, fed.Parts[k].Ranges, k, memberLabel(target))
+	return s.submitCopy(ctx, j, fed, k, len(p.Copies)-1)
+}
+
+// submitCopy submits copy i of window k, assigned to its member but not
+// yet running there, and records the member job durably. A transient
+// failure leaves the copy unsubmitted for the next cycle; a member
+// rejecting the spec fails the job, since the same spec would be
+// rejected anywhere.
+func (s *Service) submitCopy(ctx context.Context, j *job, fed *fedDoc, k, i int) error {
+	c := &fed.Parts[k].Copies[i]
+	spec := s.partSpec(j, fed.Parts[k].Ranges, k, c.Label)
 	var st JobStatus
-	if err := s.fed.api(ctx, target.URL, http.MethodPost, "/api/v1/campaigns", spec, &st); err != nil {
+	if err := s.fed.api(ctx, c.URL, http.MethodPost, "/api/v1/campaigns", spec, &st); err != nil {
 		var fatal *fatalMemberError
 		if errors.As(err, &fatal) {
-			return fmt.Errorf("service: member %s rejected part %d: %w", target.URL, k, err)
+			return fmt.Errorf("service: member %s rejected part %d: %w", c.URL, k, err)
 		}
-		return nil // transient: retry next cycle (possibly another member)
+		return nil
 	}
-	fed.Parts[k].MemberURL = target.URL
-	fed.Parts[k].MemberJob = st.ID
-	fed.Parts[k].MemberName = memberLabel(target)
-	rt.health[k] = partHealth{}
+	c.Job = st.ID
 	return s.persistFed(fed)
 }
 
@@ -885,31 +876,25 @@ func memberLabel(m MemberStatus) string {
 	return m.ID
 }
 
-// completePart downloads and persists one completed copy of part k —
-// the primary's (fromSpec false) or the speculative duplicate's
-// (fromSpec true). The Result is parse-validated before it is written,
-// so a torn response can never enter the merge; the member's part
-// trace rides along for the merged-trace splice (a member that cannot
-// serve its trace degrades to a warning — the trace is observability,
-// the Result is the contract). When two copies raced, the loser's job
-// is canceled and its Result is never fetched: exactly one Result per
-// window reaches the merge, so no draw is ever double-tallied.
-func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k int, st JobStatus, fromSpec bool) error {
+// completePart downloads and persists copy i of part k, which
+// completed first. The Result is parse-validated before it is written,
+// so a torn response can never enter the merge; the member's part trace
+// rides along for the merged-trace splice (a member that cannot serve
+// its trace degrades to a warning — the trace is observability, the
+// Result is the contract). The other copies are canceled and their
+// Results never fetched: exactly one Result per window reaches the
+// merge, so no draw is ever double-tallied.
+func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k, i int, st JobStatus) error {
 	p := &fed.Parts[k]
-	srcURL, srcJob, srcName := p.MemberURL, p.MemberJob, p.MemberName
-	loserURL, loserJob := p.SpecMemberURL, p.SpecMemberJob
-	if fromSpec {
-		srcURL, srcJob, srcName = p.SpecMemberURL, p.SpecMemberJob, p.SpecMemberName
-		loserURL, loserJob = p.MemberURL, p.MemberJob
-	}
-	data, err := s.fed.fetchDoc(ctx, srcURL, srcJob, "result")
+	win := p.Copies[i]
+	data, err := s.fed.fetchDoc(ctx, win.URL, win.Job, "result")
 	if err != nil {
 		return err
 	}
 	if _, err := core.ReadResultJSON(bytes.NewReader(data)); err != nil {
 		return &fatalMemberError{msg: fmt.Sprintf("part %d result unparseable: %v", k, err)}
 	}
-	tdata, terr := s.fed.fetchDoc(ctx, srcURL, srcJob, "trace")
+	tdata, terr := s.fed.fetchDoc(ctx, win.URL, win.Job, "trace")
 	var fatal *fatalMemberError
 	switch {
 	case terr == nil:
@@ -918,36 +903,41 @@ func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k int, 
 		}
 	case errors.As(terr, &fatal):
 		s.appendWarning(j, "part %d: member %s job %s has no trace (%v); the merged trace will omit it",
-			k, srcURL, srcJob, terr)
+			k, win.URL, win.Job, terr)
 	default:
 		return terr // transient: retry the whole fetch next cycle
 	}
 	if err := s.atomicWrite(s.partPath(j.id, k), data); err != nil {
 		return fmt.Errorf("service: writing part result: %w", err)
 	}
-	if fromSpec {
-		s.appendWarning(j, "part %d: speculative copy on %s finished first; merging it and canceling the original on %s",
-			k, srcURL, loserURL)
+	losers := append(append([]fedCopy(nil), p.Copies[:i]...), p.Copies[i+1:]...)
+	for _, c := range losers {
+		s.appendWarning(j, "part %d: the copy on %s finished first; merging it and canceling the copy on %s",
+			k, win.URL, c.URL)
 	}
-	p.MemberURL, p.MemberJob, p.MemberName = srcURL, srcJob, srcName
-	p.SpecMemberURL, p.SpecMemberJob, p.SpecMemberName = "", "", ""
+	p.Copies = []fedCopy{win}
 	p.Fetched = true
 	p.Done = st.Done
 	p.Critical = st.Critical
 	p.AbandonedLanes = st.AbandonedLanes
+	if span := st.FinishedAt.Sub(st.StartedAt).Seconds(); span > 0 {
+		p.Rate = float64(st.Done) / span
+	}
 	if err := s.persistFed(fed); err != nil {
 		return err
 	}
-	// The losing copy is canceled before the merge can run (the merge
+	// The losing copies are canceled before the merge can run (the merge
 	// needs every part fetched, and this one just became fetched with
-	// the winner's document); its draws may have been evaluated twice
+	// the winner's document); their draws may have been evaluated twice
 	// on the fleet, but are tallied exactly once.
-	if loserJob != "" {
-		s.cancelMemberJob(loserURL, loserJob)
+	for _, c := range losers {
+		if c.Job != "" { // an unsubmitted copy has nothing to cancel
+			s.cancelMemberJob(c.URL, c.Job)
+		}
 	}
 	if st.AbandonedLanes > 0 {
 		s.appendWarning(j, "member %s job %s: %d watchdog-abandoned lane(s)",
-			p.MemberURL, p.MemberJob, st.AbandonedLanes)
+			win.URL, win.Job, st.AbandonedLanes)
 	}
 	s.mu.Lock()
 	j.abandoned += st.AbandonedLanes
@@ -958,23 +948,20 @@ func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k int, 
 	return nil
 }
 
-// localMemberLabel is the member identity stamped on degraded-mode
-// windows in traces, fleet rows, and warnings.
+// localMemberLabel is the member identity stamped on the coordinator's
+// own copies in traces, fleet rows, and warnings.
 const localMemberLabel = "coordinator"
 
-// stepLocalPart advances one degraded-mode window: starts the local
-// engine run on first sight, reflects its live progress in the fleet
-// view while it runs, and harvests the finished Result into the same
-// part slot the merge reads for remote windows.
+// stepLocalPart advances the coordinator's own copy of window k: starts
+// the local engine run on first sight, reflects its live progress in
+// the fleet view while it runs, and harvests the finished Result into
+// the same part slot the merge reads for remote windows.
 func (s *Service) stepLocalPart(ctx context.Context, j *job, fed *fedDoc, k int, rt *fedRuntime, view *FleetPart) error {
 	lr := rt.local[k]
 	if lr == nil {
 		lr = s.startLocalPart(ctx, j, fed, k)
 		rt.local[k] = lr
 	}
-	view.Member = localMemberLabel
-	view.MemberURL = ""
-	view.MemberJob = ""
 	select {
 	case <-lr.done:
 	default:
@@ -995,7 +982,6 @@ func (s *Service) stepLocalPart(ctx context.Context, j *job, fed *fedDoc, k int,
 		}
 		p := &fed.Parts[k]
 		p.Fetched = true
-		p.MemberName = localMemberLabel
 		p.Done = lr.res.Injections()
 		p.Critical = criticalOf(lr.res)
 		if err := s.persistFed(fed); err != nil {
@@ -1003,9 +989,6 @@ func (s *Service) stepLocalPart(ctx context.Context, j *job, fed *fedDoc, k int,
 		}
 		os.Remove(s.partCheckpointPath(j.id, k))
 		os.Remove(s.partCheckpointPath(j.id, k) + ".bak")
-		view.Done = p.Done
-		view.Critical = p.Critical
-		view.Fetched = true
 		delete(rt.local, k)
 		return nil
 	case ctx.Err() != nil, lr.err == nil && lr.res != nil && lr.res.Partial:
@@ -1211,14 +1194,6 @@ type JoinConfig struct {
 	Transport http.RoundTripper
 	// Warnf receives one-line diagnostics.
 	Warnf func(format string, args ...any)
-}
-
-// Join registers this daemon with a coordinator and keeps the
-// registration alive with heartbeats until ctx ends, with the default
-// resilience shape; JoinFleet is the configurable variant (sfid -join
-// runs it).
-func Join(ctx context.Context, coordinator, advertise, name string, interval time.Duration, warnf func(format string, args ...any)) {
-	JoinFleet(ctx, JoinConfig{Coordinator: coordinator, Advertise: advertise, Name: name, Interval: interval, Warnf: warnf})
 }
 
 // JoinFleet runs the member→coordinator half of the membership

@@ -60,17 +60,12 @@ func memberConfig(workers int, build service.EvaluatorBuilder) service.Config {
 }
 
 // coordConfig is a coordinator's configuration with a fast poll cycle.
-// Straggler speculation is disabled: at a 10ms poll an interrupted
-// member looks like a straggler within ~100ms, which would race the
-// death/reassignment paths these tests pin (chaos_test.go exercises
-// speculation explicitly).
 func coordConfig(dir string, memberTimeout time.Duration) service.Config {
 	return service.Config{
 		Dir:            dir,
 		Coordinator:    true,
 		MemberTimeout:  memberTimeout,
 		FederationPoll: 10 * time.Millisecond,
-		StragglerRatio: -1,
 	}
 }
 
@@ -281,7 +276,9 @@ func TestFederatedSpecValidation(t *testing.T) {
 // merged Result of a federated campaign must be byte-identical to the
 // direct single-node engine run of the same (plan, seed) — at every
 // fleet size and member worker count, with the durable merge state
-// cleaned up afterwards.
+// cleaned up afterwards. A healthy fleet of equal members under the
+// default configuration never backs up a window, so the members
+// evaluate exactly the planned draws.
 func TestFederatedBitIdentity(t *testing.T) {
 	spec := fullSpec("data-aware", 0.05)
 	want := directResult(t, spec)
@@ -294,8 +291,9 @@ func TestFederatedBitIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer mustShutdown(t, coord)
+				var evals atomic.Int64
 				for i := 0; i < members; i++ {
-					m := startNode(t, memberConfig(4, nil))
+					m := startNode(t, memberConfig(4, slowBuilder(0, &evals)))
 					defer m.stop(t)
 					if _, err := coord.RegisterMember(m.srv.URL, fmt.Sprintf("node-%d", i)); err != nil {
 						t.Fatal(err)
@@ -321,6 +319,12 @@ func TestFederatedBitIdentity(t *testing.T) {
 				}
 				if _, err := os.Stat(filepath.Join(dir, st.ID+".fed.json")); !os.IsNotExist(err) {
 					t.Errorf("merge state %s.fed.json survived completion", st.ID)
+				}
+				if v := metricValue(t, coord, "sfid_speculative_parts_total"); v != 0 {
+					t.Errorf("sfid_speculative_parts_total = %v on a healthy fleet, want 0", v)
+				}
+				if n := evals.Load(); n != final.Planned {
+					t.Errorf("members evaluated %d draws, want exactly the %d planned", n, final.Planned)
 				}
 			})
 		}
@@ -404,7 +408,8 @@ func TestFederatedMemberDeathReassignsRanges(t *testing.T) {
 		nodes[i] = startNode(t, memberConfig(1, slowBuilder(200*time.Microsecond, &evals)))
 		ctx, cancel := context.WithCancel(context.Background())
 		cancels[i] = cancel
-		go service.Join(ctx, coordSrv.URL, nodes[i].srv.URL, fmt.Sprintf("node-%d", i), 50*time.Millisecond, nil)
+		go service.JoinFleet(ctx, service.JoinConfig{Coordinator: coordSrv.URL, Advertise: nodes[i].srv.URL,
+			Name: fmt.Sprintf("node-%d", i), Interval: 50 * time.Millisecond})
 	}
 	defer func() {
 		for _, cancel := range cancels {
@@ -445,12 +450,14 @@ func TestFederatedMemberDeathReassignsRanges(t *testing.T) {
 }
 
 // waitPartsAssigned blocks until the durable federation document at
-// path records member jobs for all parts.
+// path records a member-job copy for all parts.
 func waitPartsAssigned(t *testing.T, path string, parts int) {
 	t.Helper()
 	type fedState struct {
 		Parts []struct {
-			MemberJob string `json:"member_job"`
+			Copies []struct {
+				Job string `json:"job"`
+			} `json:"copies"`
 		} `json:"parts"`
 	}
 	deadline := time.Now().Add(60 * time.Second)
@@ -461,7 +468,7 @@ func waitPartsAssigned(t *testing.T, path string, parts int) {
 			if json.Unmarshal(data, &fs) == nil && len(fs.Parts) == parts {
 				all := true
 				for _, p := range fs.Parts {
-					if p.MemberJob == "" {
+					if len(p.Copies) == 0 || p.Copies[0].Job == "" {
 						all = false
 					}
 				}

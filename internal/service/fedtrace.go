@@ -120,7 +120,7 @@ func (s *Service) spliceFederatedTrace(j *job, plan *core.Plan, fed *fedDoc, mer
 	start.Strata = len(plan.Subpops)
 	out = append(out, start)
 	for k := range fed.Parts {
-		pm := telemetry.PartMeta(name, j.id, k, fed.Parts[k].MemberName, fed.Parts[k].Ranges)
+		pm := telemetry.PartMeta(name, j.id, k, fed.Parts[k].Copies[0].Label, fed.Parts[k].Ranges)
 		pm.TimeUnixNano = now
 		out = append(out, pm)
 	}
@@ -139,7 +139,7 @@ func (s *Service) spliceFederatedTrace(j *job, plan *core.Plan, fed *fedDoc, mer
 				ev.Campaign = name
 				ev.FederatedJob = j.id
 				ev.Part = &part
-				ev.Member = fed.Parts[k].MemberName
+				ev.Member = fed.Parts[k].Copies[0].Label
 				if ev.Kind == "shard_done" {
 					ev.Shard = shardSeq
 					shardSeq++

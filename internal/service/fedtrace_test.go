@@ -180,7 +180,8 @@ func TestFederatedTraceSurvivesMemberDeath(t *testing.T) {
 		nodes[i] = startNode(t, memberConfig(1, slowBuilder(200*time.Microsecond, &evals)))
 		ctx, cancel := context.WithCancel(context.Background())
 		cancels[i] = cancel
-		go service.Join(ctx, coordSrv.URL, nodes[i].srv.URL, fmt.Sprintf("node-%d", i), 50*time.Millisecond, nil)
+		go service.JoinFleet(ctx, service.JoinConfig{Coordinator: coordSrv.URL, Advertise: nodes[i].srv.URL,
+			Name: fmt.Sprintf("node-%d", i), Interval: 50 * time.Millisecond})
 	}
 	defer func() {
 		for _, cancel := range cancels {

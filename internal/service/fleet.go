@@ -39,8 +39,8 @@ type FleetPart struct {
 	Rate     float64 `json:"rate,omitempty"`
 	// Fetched marks a window whose Result is already merged-ready.
 	Fetched bool `json:"fetched,omitempty"`
-	// Speculative marks a window with a straggler re-execution copy in
-	// flight on a second member (the first copy to finish is merged).
+	// Speculative marks a window with more than one copy in flight (the
+	// first copy to finish is merged); Member names the oldest.
 	Speculative bool `json:"speculative,omitempty"`
 }
 

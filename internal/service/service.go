@@ -103,9 +103,14 @@ type Config struct {
 	// default; a non-coordinator rejects the member endpoints and
 	// federated specs.
 	Coordinator bool
-	// MemberTimeout is how long a member may go without a heartbeat
-	// before the coordinator declares it dead and reassigns its draw
-	// ranges (default 10s).
+	// MemberTimeout is the federation's one lease length (default 10s).
+	// A member silent on heartbeats for this long is dead, and its
+	// unreachable copies are dropped; a draw window left without a
+	// running copy this long while no member was placeable is run by the
+	// coordinator itself; a copy whose reported progress has not
+	// advanced this long is backed up on an idle member; and a backup
+	// for a slow copy must be expected to finish at least this much
+	// sooner.
 	MemberTimeout time.Duration
 	// FederationPoll is the coordinator's member-job polling cadence
 	// (default 500ms).
@@ -124,19 +129,6 @@ type Config struct {
 	// half-open probe (default 5s).
 	BreakerThreshold int
 	BreakerOpenFor   time.Duration
-	// StragglerRatio and StragglerCycles arm speculative re-execution:
-	// a federated part whose progress rate stays below StragglerRatio ×
-	// the fleet median (default 0.25) for StragglerCycles consecutive
-	// poll cycles (default 8) is speculatively re-dispatched to a spare
-	// member; the first finished copy merges and the loser is canceled.
-	// StragglerRatio < 0 disables speculation.
-	StragglerRatio  float64
-	StragglerCycles int
-	// DegradedAfter is how long a federated draw window may sit
-	// unplaceable (no alive member with a non-tripped breaker) before
-	// the coordinator runs it locally as an ordinary checkpointed job
-	// (default 15s). Negative disables degraded mode.
-	DegradedAfter time.Duration
 	// Transport, when set, replaces the default HTTP transport for every
 	// fleet RPC — the seam the chaos tests and the sfid -chaos flag
 	// inject faults through. Resilience wraps this transport; the engine
@@ -244,15 +236,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.MemberRPCTimeout <= 0 {
 		cfg.MemberRPCTimeout = 5 * time.Second
-	}
-	if cfg.StragglerRatio == 0 {
-		cfg.StragglerRatio = 0.25
-	}
-	if cfg.StragglerCycles <= 0 {
-		cfg.StragglerCycles = 8
-	}
-	if cfg.DegradedAfter == 0 {
-		cfg.DegradedAfter = 15 * time.Second
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: state dir: %w", err)
@@ -746,7 +729,7 @@ func (s *Service) registerServiceMetrics() {
 	s.submitted = s.reg.Counter("sfid_submitted_total", "Campaigns accepted for scheduling.")
 	s.rejected = s.reg.Counter("sfid_rejected_total", "Submissions rejected by queue backpressure.")
 	s.retries = s.reg.Counter("sfid_retries_total", "Fleet RPC retries scheduled by the resilience layer.")
-	s.specParts = s.reg.Counter("sfid_speculative_parts_total", "Speculative duplicate dispatches of straggling federated draw windows.")
+	s.specParts = s.reg.Counter("sfid_speculative_parts_total", "Backup copies dispatched for slow or stalled federated draw windows.")
 	s.stateWriteErrs = s.reg.Counter("sfid_state_write_errors_total", "Durable-state atomic write failures (job records, member registry, federation documents, results).")
 	s.reg.GaugeFunc("sfid_workers_total", "Size of the shared worker-token pool.",
 		func() float64 { return float64(s.cfg.TotalWorkers) })
