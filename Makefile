@@ -24,6 +24,9 @@
 #                member; asserts the merged result still matches the
 #                single-node golden and the resilience layer's metrics
 #                (retries, breaker state, speculative dispatch) moved
+#   make portable  test the portable (non-assembly) nn kernels under
+#                GOARCH=386, and fail if the arm64 build of internal/nn
+#                fuses a multiply-add (it would compute other bits)
 #   make docs-check  fail on dead relative links in README/docs
 #   make vuln    scan the module against the Go vulnerability database
 #                (needs network access; CI runs it on every push)
@@ -34,7 +37,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet bench fuzz-smoke trace-smoke service-smoke federation-smoke chaos-smoke docs-check vuln verify
+.PHONY: build test race vet portable bench fuzz-smoke trace-smoke service-smoke federation-smoke chaos-smoke docs-check vuln verify
 
 build:
 	$(GO) build ./...
@@ -49,6 +52,21 @@ vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l . lists unformatted files:"; echo "$$unformatted"; exit 1; fi
+
+# The conv GEMM's row kernel is assembly on amd64 only; GOARCH=386 runs
+# the Go fallback (gemm_other.go) against the same tests on an amd64
+# host. Go may fuse x*y + z on arm64, ppc64le, s390x and riscv64, which
+# would round once where amd64 rounds twice, so the arm64 listing of
+# internal/nn must hold no fused instruction.
+portable:
+	GOARCH=386 $(GO) test ./internal/nn
+	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	GOARCH=arm64 $(GO) build -gcflags=cnnsfi/internal/nn=-S ./internal/nn 2>"$$tmp"; \
+	grep -q '^cnnsfi/internal/nn\..* STEXT' "$$tmp" || { echo "portable: no arm64 listing of internal/nn"; exit 1; }; \
+	if grep -E 'FMADDS|FMSUBS|FNMADDS|FNMSUBS' "$$tmp"; then \
+		echo "portable: internal/nn fuses multiply-adds on arm64"; exit 1; \
+	fi; \
+	echo "portable: OK"
 
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallel_' -benchtime 3x .

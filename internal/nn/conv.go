@@ -206,7 +206,7 @@ func (c *Conv2D) direct(in, out []float32, nb, ocLo, ocHi, h, w, oh, ow, sz int)
 								dst := outPlane[oyLo*w:]
 								dst = dst[:len(src)]
 								for i, v := range src {
-									dst[i] += wv * v
+									dst[i] += float32(wv * v)
 								}
 								continue
 							}
@@ -216,7 +216,7 @@ func (c *Conv2D) direct(in, out []float32, nb, ocLo, ocHi, h, w, oh, ow, sz int)
 								dst := outPlane[oy*ow+oxLo:]
 								dst = dst[:len(src)]
 								for i, v := range src {
-									dst[i] += wv * v
+									dst[i] += float32(wv * v)
 								}
 							}
 							continue
@@ -227,7 +227,7 @@ func (c *Conv2D) direct(in, out []float32, nb, ocLo, ocHi, h, w, oh, ow, sz int)
 							ix := oxLo*c.Stride + kx - c.Pad
 							base := inPlane[iy*w:]
 							for i := range rowOut {
-								rowOut[i] += wv * base[ix]
+								rowOut[i] += float32(wv * base[ix])
 								ix += c.Stride
 							}
 						}
@@ -295,7 +295,7 @@ func (l *Linear) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor.Tens
 			row := l.W[o*l.In : (o+1)*l.In]
 			var sum float32
 			for i, v := range xRow {
-				sum += row[i] * v
+				sum += float32(row[i] * v)
 			}
 			if l.Bias != nil {
 				sum += l.Bias[o]
@@ -350,7 +350,7 @@ func (b *BatchNorm2D) Refold() {
 	for i := 0; i < b.C; i++ {
 		inv := 1 / sqrt32(b.Var[i]+b.Eps)
 		b.scale[i] = b.Gamma[i] * inv
-		b.shift[i] = b.Beta[i] - b.Gamma[i]*b.Mean[i]*inv
+		b.shift[i] = b.Beta[i] - float32(b.Gamma[i]*b.Mean[i]*inv)
 	}
 }
 
@@ -372,7 +372,7 @@ func (b *BatchNorm2D) Forward(a *tensor.Arena, inputs ...*tensor.Tensor) *tensor
 			src := x.Data[n*sz+c*plane : n*sz+(c+1)*plane]
 			o := out.Data[n*sz+c*plane : n*sz+(c+1)*plane]
 			for i, v := range src {
-				o[i] = s*v + sh
+				o[i] = float32(s*v) + sh
 			}
 		}
 	}

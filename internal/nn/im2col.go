@@ -110,9 +110,33 @@ func (c *Conv2D) gemmTiles(buf, out []float32, lo, hi, nb, cols int) {
 // gemmRow accumulates one output row of the conv GEMM: for every
 // non-zero w[kk], in ascending kk, dst[i] += w[kk] * src[kk*stride+i].
 // It panics unless src holds every row it reads.
+//
+// It collects the non-zero weights (NaN is non-zero; ±0 is skipped)
+// with their row offsets on the stack, and hands them to gemmTaps a
+// chunk at a time. Chunks are whole groups of four, so only the row's
+// last one to three weights go without a partner.
 func gemmRow(w, src []float32, stride int, dst []float32) {
-	if len(w) > 0 && len(dst) > 0 {
-		_ = src[(len(w)-1)*stride+len(dst)-1]
+	if len(w) == 0 || len(dst) == 0 {
+		return
 	}
-	gemmRowKernel(w, src, stride, dst)
+	_ = src[(len(w)-1)*stride+len(dst)-1]
+	var taps [gemmChunk]float32
+	var offs [gemmChunk]int
+	n := 0
+	for kk, wv := range w {
+		if wv == 0 {
+			continue
+		}
+		taps[n], offs[n] = wv, kk*stride
+		n++
+		if n == gemmChunk {
+			gemmTaps(taps[:], offs[:], src, dst)
+			n = 0
+		}
+	}
+	gemmTaps(taps[:n], offs[:n], src, dst)
 }
+
+// gemmChunk is how many taps gemmRow collects per gemmTaps call; a
+// multiple of four.
+const gemmChunk = 64

@@ -14,9 +14,13 @@
 // — for every image n, the output slice [n·len : (n+1)·len] is the same,
 // bit for bit, as a batch-1 run on that image alone. Per-element
 // accumulation order therefore never depends on the batch: the conv GEMM
-// accumulates k-ascending with zero-weight skips and is never blocked
-// over k, and pooling windows always scan ky→kx. Network.Exec and its
-// siblings adapt CHW images to this batch-1 form.
+// accumulates k-ascending with zero-weight skips and never splits k, and
+// pooling windows always scan ky→kx. Network.Exec and its siblings adapt
+// CHW images to this batch-1 form.
+//
+// Every product is rounded to float32 before it is added (an explicit
+// float32(x*y) conversion), so hosts that could fuse a multiply-add
+// compute the same bits as amd64.
 package nn
 
 import (

@@ -44,7 +44,7 @@ func naiveConv(c *Conv2D, x *tensor.Tensor, im2col bool) *tensor.Tensor {
 							} else if !im2col {
 								continue
 							}
-							sum += wv * v
+							sum += float32(wv * v)
 						}
 					}
 				}
@@ -102,11 +102,16 @@ func bitsEqual(t *testing.T, got *tensor.Tensor, n int, want *tensor.Tensor) {
 }
 
 // TestGemmRowMatchesGoLoop pins gemmRow to the Go loop it replaced in
-// the conv GEMM, bit for bit: row lengths across the inner loop's edges,
-// with zero, negative-zero, infinite, subnormal and NaN weights and
-// inputs, NaNs of distinct payloads on both sides of the multiply and
-// the add. Elements between and after the rows it reads, and past dst,
-// must not matter or change; a src too short for its rows must panic.
+// the conv GEMM, bit for bit: row lengths across the vector width and
+// the scalar tail, with zero, negative-zero, infinite, subnormal and NaN
+// weights and inputs, NaNs of distinct payloads on both sides of the
+// multiply and the add. Weight rows run past three groups of four
+// non-zero taps plus a remainder, and past gemmRow's chunk, with skipped
+// zeros between the taps of a group; dst and src start at element
+// offsets 0–3, so packed loads and stores are unaligned. Elements
+// before, between and after the rows it reads, and around dst, must not
+// matter or change; gemmRow must not allocate; a src too short for its
+// rows must panic.
 func TestGemmRowMatchesGoLoop(t *testing.T) {
 	specials := []float32{
 		0, float32(math.Copysign(0, -1)), 1.5, -3,
@@ -120,39 +125,70 @@ func TestGemmRowMatchesGoLoop(t *testing.T) {
 		}
 		return float32(rng.NormFloat64())
 	}
+	quadsWithRemainder := 0 // rows with ≥13 non-zero taps, not a multiple of four, zeros among them
 	for cols := 0; cols <= 40; cols++ {
 		for trial := 0; trial < 10; trial++ {
-			w := make([]float32, rng.Intn(6))
+			taps := rng.Intn(25)
+			if trial == 9 {
+				taps = gemmChunk + rng.Intn(gemmChunk)
+			}
+			w := make([]float32, taps)
+			nonZero, skipped := 0, false
 			for i := range w {
 				w[i] = pick()
+				if rng.Intn(5) == 0 {
+					w[i] = specials[rng.Intn(2)] // ±0
+				}
+				if w[i] != 0 {
+					nonZero++
+				} else if nonZero > 0 {
+					skipped = true
+				}
+			}
+			if nonZero >= 13 && nonZero%4 != 0 && skipped {
+				quadsWithRemainder++
 			}
 			stride := cols + rng.Intn(3)
-			src := make([]float32, max(len(w)*stride, 1))
+			srcOff, dstOff := rng.Intn(4), rng.Intn(4)
+			src := make([]float32, srcOff+max(len(w)*stride, 1))
 			for i := range src {
 				src[i] = pick()
 			}
-			got, want := make([]float32, cols+1), make([]float32, cols+1)
+			got, want := make([]float32, dstOff+cols+1), make([]float32, dstOff+cols+1)
 			for i := range got {
 				got[i] = pick()
 			}
 			copy(want, got)
-			d := want[:cols]
+			d := want[dstOff : dstOff+cols]
 			for kk, wv := range w {
 				if wv == 0 {
 					continue
 				}
-				for i, v := range src[kk*stride : kk*stride+cols] {
-					d[i] += wv * v
+				for i, v := range src[srcOff+kk*stride : srcOff+kk*stride+cols] {
+					d[i] += float32(wv * v)
 				}
 			}
-			gemmRow(w, src, stride, got[:cols])
+			gemmRow(w, src[srcOff:], stride, got[dstOff:dstOff+cols])
 			for i := range want {
 				if g, e := math.Float32bits(got[i]), math.Float32bits(want[i]); g != e {
-					t.Fatalf("cols=%d w=%v elem %d: %08x, want %08x", cols, w, i, g, e)
+					t.Fatalf("cols=%d offsets=%d/%d w=%v elem %d: %08x, want %08x", cols, srcOff, dstOff, w, i, g, e)
 				}
 			}
 		}
 	}
+	if quadsWithRemainder == 0 {
+		t.Fatal("no row held three groups of four non-zero taps, skipped zeros and a remainder")
+	}
+
+	w := make([]float32, 2*gemmChunk+3)
+	for i := range w {
+		w[i] = pick()
+	}
+	src, dst := make([]float32, len(w)*37), make([]float32, 37)
+	if n := testing.AllocsPerRun(100, func() { gemmRow(w, src, 37, dst) }); n != 0 {
+		t.Errorf("gemmRow allocates %.0f times per call, want 0", n)
+	}
+
 	defer func() {
 		if recover() == nil {
 			t.Error("gemmRow read past a short src without panicking")
