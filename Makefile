@@ -25,8 +25,9 @@
 #                single-node golden and the resilience layer's metrics
 #                (retries, breaker state, speculative dispatch) moved
 #   make portable  test the portable (non-assembly) nn kernels under
-#                GOARCH=386, and fail if the arm64 build of internal/nn
-#                fuses a multiply-add (it would compute other bits)
+#                GOARCH=386, and fail if the arm64 build of nn, stats,
+#                dataaware, dataset, oracle or train fuses a multiply-add
+#                (it would compute other bits)
 #   make docs-check  fail on dead relative links in README/docs
 #   make vuln    scan the module against the Go vulnerability database
 #                (needs network access; CI runs it on every push)
@@ -57,15 +58,22 @@ vet:
 # the Go fallback (gemm_other.go) against the same tests on an amd64
 # host. Go may fuse x*y + z on arm64, ppc64le, s390x and riscv64, which
 # would round once where amd64 rounds twice, so the arm64 listing of
-# internal/nn must hold no fused instruction.
+# every package whose floats reach a Result or a golden (the nn
+# kernels, the statistics and data-aware planning, the synthetic
+# dataset, the oracle, training) must hold no fused instruction, single
+# or double precision.
+PORTABLE_PKGS = nn stats dataaware dataset oracle train
+
 portable:
 	GOARCH=386 $(GO) test ./internal/nn
 	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	GOARCH=arm64 $(GO) build -gcflags=cnnsfi/internal/nn=-S ./internal/nn 2>"$$tmp"; \
-	grep -q '^cnnsfi/internal/nn\..* STEXT' "$$tmp" || { echo "portable: no arm64 listing of internal/nn"; exit 1; }; \
-	if grep -E 'FMADDS|FMSUBS|FNMADDS|FNMSUBS' "$$tmp"; then \
-		echo "portable: internal/nn fuses multiply-adds on arm64"; exit 1; \
-	fi; \
+	for p in $(PORTABLE_PKGS); do \
+		GOARCH=arm64 $(GO) build -gcflags=cnnsfi/internal/$$p=-S ./internal/$$p 2>"$$tmp"; \
+		grep -q "^cnnsfi/internal/$$p\..* STEXT" "$$tmp" || { echo "portable: no arm64 listing of internal/$$p"; exit 1; }; \
+		if grep -E 'F(N)?M(ADD|SUB)[SD]' "$$tmp"; then \
+			echo "portable: internal/$$p fuses multiply-adds on arm64"; exit 1; \
+		fi; \
+	done; \
 	echo "portable: OK"
 
 bench:

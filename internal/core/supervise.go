@@ -351,23 +351,7 @@ func (w *supWorker) evaluateShard(s *shard, space faultmodel.Space, plan *Plan, 
 			})
 			s.retries += int64(failures)
 		}
-		if v.critical {
-			s.successes++
-		}
-		if s.perLayer != nil {
-			pl := s.perLayer[v.fault.Layer]
-			if pl == nil {
-				pl = &stats.ProportionEstimate{
-					PopulationSize: space.LayerTotal(v.fault.Layer),
-					PlannedP:       sub.P,
-				}
-				s.perLayer[v.fault.Layer] = pl
-			}
-			pl.SampleSize++
-			if v.critical {
-				pl.Successes++
-			}
-		}
+		s.tally(space, sub, v.fault, v.critical)
 	}
 }
 
@@ -385,24 +369,21 @@ func (w *supWorker) describeFailure(v verdict, s *shard, space faultmodel.Space,
 	}
 	if v.decoded {
 		e.Fault = v.fault.String()
-	} else if f, ok := safeDecode(space, sub, j, validateFromPanic(v)); ok {
+	} else if f, ok := safeDecode(space, sub, j); ok {
 		e.Fault = f.String()
 	}
 	return e
 }
 
-// validateFromPanic: the defensive re-decode never validates — it only
-// exists to attach an identity label, and a validating decode might be
-// the very thing that panicked.
-func validateFromPanic(verdict) bool { return false }
-
 // safeDecode decodes a fault under its own recover boundary, for
-// failure labelling only.
-func safeDecode(space faultmodel.Space, sub Subpopulation, j int64, validate bool) (f faultmodel.Fault, ok bool) {
+// failure labelling only. It never validates: it only attaches an
+// identity label, and a validating decode might be the very thing that
+// panicked.
+func safeDecode(space faultmodel.Space, sub Subpopulation, j int64) (f faultmodel.Fault, ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
 		}
 	}()
-	return decodeShardFault(space, sub, j, validate), true
+	return decodeShardFault(space, sub, j, false), true
 }

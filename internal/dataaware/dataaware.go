@@ -116,7 +116,7 @@ func AnalyzeGamma(weights []float32, format fp.Format, gamma float64) *Analysis 
 		if ones[i] > 0 {
 			a.D10[i] = sum10[i] / float64(ones[i])
 		}
-		a.Davg[i] = a.D01[i]*a.F0[i] + a.D10[i]*a.F1[i] // Eq. 4
+		a.Davg[i] = float64(a.D01[i]*a.F0[i]) + float64(a.D10[i]*a.F1[i]) // Eq. 4
 	}
 
 	a.P = normalizeCriticality(a.Davg, 0, 0.5, gamma) // Eq. 5
@@ -170,7 +170,7 @@ func normalizeCriticality(davg []float64, a, b, gamma float64) []float64 {
 			out[i] = (a + b) / 2
 		default:
 			t := (v - lo) / (hi - lo)
-			out[i] = a + math.Pow(t, gamma)*(b-a)
+			out[i] = a + float64(math.Pow(t, gamma)*(b-a))
 		}
 	}
 	return out
@@ -204,12 +204,12 @@ func (a *Analysis) MostCriticalBit() int {
 // CountF0 returns the absolute number of weights whose bit i is 0
 // (the counts plotted in Fig. 3).
 func (a *Analysis) CountF0(bit int) int64 {
-	return int64(a.F0[bit]*float64(a.Count) + 0.5)
+	return int64(float64(a.F0[bit]*float64(a.Count)) + 0.5)
 }
 
 // CountF1 returns the absolute number of weights whose bit i is 1.
 func (a *Analysis) CountF1(bit int) int64 {
-	return int64(a.F1[bit]*float64(a.Count) + 0.5)
+	return int64(float64(a.F1[bit]*float64(a.Count)) + 0.5)
 }
 
 // PerLayer holds one Analysis per weight layer. Layers of a CNN have

@@ -100,22 +100,22 @@ func renderClass(rng *rand.Rand, cfg Config, label int) *tensor.Tensor {
 	cosT, sinT := math.Cos(theta), math.Sin(theta)
 
 	// Sample-random parameters.
-	phase := rng.Float64() * 2 * math.Pi
-	amp := 0.7 + rng.Float64()*0.3
+	phase := float64(2 * math.Pi * rng.Float64())
+	amp := 0.7 + float64(rng.Float64()*0.3)
 
-	cx := float64(cfg.Size-1) / 2
+	cx := float64(float64(cfg.Size-1) / 2)
 	for c := 0; c < cfg.Channels; c++ {
 		// Class tint: each channel gets a distinct weight derived from
 		// the label so color alone is informative too.
-		tint := 0.5 + 0.5*math.Cos(2*math.Pi*float64(label*(c+1))/float64(cfg.Classes))
+		tint := 0.5 + float64(0.5*math.Cos(2*math.Pi*float64(label*(c+1))/float64(cfg.Classes)))
 		for y := 0; y < cfg.Size; y++ {
 			for x := 0; x < cfg.Size; x++ {
 				u := (float64(x) - cx) / cx
 				v := (float64(y) - cx) / cx
-				proj := u*cosT + v*sinT
-				g := math.Sin(freq*math.Pi*proj + phase)
-				r := math.Sqrt(u*u+v*v) * radial
-				val := amp*(0.6*g+0.4*r)*tint + rng.NormFloat64()*cfg.Noise
+				proj := float64(u*cosT) + float64(v*sinT)
+				g := math.Sin(float64(freq*math.Pi*proj) + phase)
+				r := math.Sqrt(float64(u*u)+float64(v*v)) * radial
+				val := float64(amp*(float64(0.6*g)+float64(0.4*r))*tint) + float64(rng.NormFloat64()*cfg.Noise)
 				img.Set3(c, y, x, float32(clamp(val, -1, 1)))
 			}
 		}

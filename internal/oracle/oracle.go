@@ -210,7 +210,7 @@ func (o *Oracle) CriticalProbability(f faultmodel.Fault) float64 {
 	// (Pow rounds twice there) 1 + q·q rounds to 1 either way.
 	q := o.cfg.Tau / rel
 	if o.cfg.Alpha == 2 {
-		return o.pmax[f.Layer] / (1 + q*q)
+		return o.pmax[f.Layer] / (1 + float64(q*q))
 	}
 	return o.pmax[f.Layer] / (1 + math.Pow(q, o.cfg.Alpha))
 }

@@ -3,9 +3,12 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"cnnsfi/internal/core"
 	"cnnsfi/internal/resilience"
 	"cnnsfi/internal/service"
 )
@@ -129,14 +133,37 @@ func TestFederatedChaosBitIdentity(t *testing.T) {
 	}
 }
 
+// failDeletes is a transport whose first n DELETE requests fail before
+// reaching the network; every other request passes through. answered
+// counts the DELETEs a member answered.
+type failDeletes struct {
+	n, sent, answered atomic.Int64
+}
+
+func (f *failDeletes) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method != http.MethodDelete {
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	if f.sent.Add(1) <= f.n.Load() {
+		return nil, errors.New("injected DELETE failure")
+	}
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		f.answered.Add(1)
+	}
+	return resp, err
+}
+
 // TestFederatedStragglerSpeculation pins backup copies: once the hare
 // has finished its own window, a window whose lone copy it would
 // overtake — a tortoise whose reported rate leaves more time than the
 // hare needs for the whole window, or a member that keeps heartbeating
 // while its job makes no progress for the member timeout — gets a
-// second copy on the hare; the fast copy merges first, the original is
-// canceled before the merge, and the Result is still byte-identical —
-// exactly one fetched copy of the window enters the merge.
+// second copy on the hare; the fast copy merges first, and the Result
+// is still byte-identical — exactly one fetched copy of the window
+// enters the merge. The original is canceled on its member even though
+// the coordinator's first DELETEs to it fail: more of them than one
+// cancel call's retries, so only a retry on a later cycle reaches it.
 func TestFederatedStragglerSpeculation(t *testing.T) {
 	spec := fullSpec("network-wise", 0.02) // ~4k draws: two ~2k windows
 	want := directResult(t, spec)
@@ -160,7 +187,12 @@ func TestFederatedStragglerSpeculation(t *testing.T) {
 			unblock := func() { closeOnce.Do(func() { close(release) }) }
 			defer unblock()
 
-			coord, err := service.New(coordConfig(t.TempDir(), 500*time.Millisecond))
+			cfg := coordConfig(t.TempDir(), 500*time.Millisecond)
+			deletes := &failDeletes{}
+			deletes.n.Store(6)
+			cfg.Transport = deletes
+			cfg.BreakerOpenFor = 50 * time.Millisecond // the failed DELETEs trip it
+			coord, err := service.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +220,15 @@ func TestFederatedStragglerSpeculation(t *testing.T) {
 				t.Fatal(err)
 			}
 			final := waitState(t, coord, st.ID, service.StateCompleted)
-			unblock() // let the stalled original observe its cancellation
+			// The stalled original observes its cancellation only once
+			// released; released before the cancel lands, it would finish.
+			for deadline := time.Now().Add(30 * time.Second); deletes.answered.Load() == 0; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("no cancel reached the straggling original's member (%d DELETEs sent, the first %d failed)",
+						deletes.sent.Load(), deletes.n.Load())
+				}
+			}
+			unblock()
 			joined := strings.Join(final.Warnings, "\n")
 			if !strings.Contains(joined, "speculatively re-dispatched") {
 				t.Errorf("warnings %q record no speculative dispatch", final.Warnings)
@@ -233,9 +273,11 @@ func TestFederatedStragglerSpeculation(t *testing.T) {
 // TestFederatedDegradedLocalFallback pins the zero-alive fallback: a
 // federated campaign submitted to a coordinator whose fleet never
 // materializes must not stall forever — after MemberTimeout the
-// coordinator runs the orphaned window itself as an ordinary
-// checkpointed ranged job, records the degradation in the warnings,
-// and the Result is byte-identical to the direct run.
+// coordinator submits the orphaned window to its own queue as an
+// ordinary ranged job (listed like any other, correlated to its
+// parent), records the degradation in the warnings, and both the
+// Result and the timing-stripped merged trace are byte-identical to the
+// single-node run's.
 func TestFederatedDegradedLocalFallback(t *testing.T) {
 	spec := fullSpec("network-wise", 0.2)
 	want := directResult(t, spec)
@@ -270,6 +312,108 @@ func TestFederatedDegradedLocalFallback(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("degraded-mode Result differs from the direct single-node run")
+	}
+	trace, err := coord.Trace(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strippedReport(t, trace), strippedReport(t, singleNodeTrace(t, spec, nil)); got != want {
+		t.Errorf("degraded-mode stripped trace differs from the single-node run\n--- merged ---\n%s--- single-node ---\n%s", got, want)
+	}
+	checkMergedTraceShape(t, trace, 1)
+	var windows []service.JobStatus
+	for _, js := range coord.List() {
+		if js.Spec.FederatedJob == st.ID {
+			windows = append(windows, js)
+		}
+	}
+	if len(windows) != 1 || windows[0].State != service.StateCompleted || windows[0].Spec.FederatedMember != "coordinator" {
+		t.Errorf("jobs correlated to %s = %+v, want the one completed window job of the coordinator", st.ID, windows)
+	}
+}
+
+// TestFederatedDegradedWindowResumesAfterCoordinatorRestart pins what
+// the coordinator's own copy inherits from the ordinary job path: shut
+// down mid-window, the window's job checkpoints and re-pends with its
+// parent, and the next daemon generation re-attaches to it by job ID,
+// evaluating exactly the draws its checkpoint did not hold — with a
+// Result byte-identical to the direct run.
+func TestFederatedDegradedWindowResumesAfterCoordinatorRestart(t *testing.T) {
+	spec := fullSpec("network-wise", 0.02) // ~4k draws: room to interrupt
+	want := directResult(t, spec)
+	dir := t.TempDir()
+	config := func(evals *atomic.Int64, delay time.Duration) service.Config {
+		return service.Config{
+			Dir:             dir,
+			Coordinator:     true,
+			MemberTimeout:   50 * time.Millisecond,
+			FederationPoll:  10 * time.Millisecond,
+			CheckpointEvery: 64,
+			ProgressEvery:   64,
+			BuildEvaluator:  slowBuilder(delay, evals),
+		}
+	}
+
+	var firstEvals atomic.Int64
+	coord1, err := service.New(config(&firstEvals, 200*time.Microsecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec
+	s.Federated = true
+	st, err := coord1.Submit(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var window string
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		for _, js := range coord1.List() {
+			if js.Spec.FederatedJob == st.ID && js.Done >= 64 {
+				window = js.ID
+			}
+		}
+		if window != "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the degraded window never passed a checkpoint interval on the coordinator")
+		}
+	}
+	mustShutdown(t, coord1)
+	info, err := core.ReadCheckpointInfo(filepath.Join(dir, window+".ckpt"))
+	if err != nil {
+		t.Fatalf("window job %s: no checkpoint after shutdown: %v", window, err)
+	}
+
+	var secondEvals atomic.Int64
+	coord2, err := service.New(config(&secondEvals, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, coord2)
+	final := waitState(t, coord2, st.ID, service.StateCompleted)
+	ws, err := coord2.Get(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Restored != info.Injections || ws.Restored == 0 {
+		t.Errorf("window job restored %d draws, its checkpoint held %d", ws.Restored, info.Injections)
+	}
+	if got, want := secondEvals.Load(), final.Planned-info.Injections; got != want {
+		t.Errorf("second generation evaluated %d draws, want planned %d − restored %d = %d",
+			got, final.Planned, info.Injections, want)
+	}
+	got, err := coord2.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("Result after a restart mid-window differs from the direct single-node run")
+	}
+	for _, js := range coord2.List() {
+		if js.Spec.FederatedJob == st.ID && js.ID != window {
+			t.Errorf("restart submitted a second window job %s", js.ID)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
 	"cnnsfi/internal/core"
@@ -39,22 +38,28 @@ import (
 // polling).
 //
 // Failure model: one lease rule over a per-window list of copies (the
-// backup tasks of MapReduce, Dean & Ghemawat, OSDI 2004). A copy is a
-// member job or the coordinator's own ranged run. Each poll cycle polls
-// every copy and merges the first to complete; drops a copy whose
-// member lost the job or stopped both heartbeating past
-// Config.MemberTimeout and answering; offers every window without a
-// copy to the least-loaded live member, or, when the window has gone
-// without a running copy for MemberTimeout while no member was
-// placeable, runs it on the coordinator; and backs up a lone copy that
-// an idle member would overtake by at least MemberTimeout, or whose
-// progress stood still for MemberTimeout. Every new copy starts the
-// window from its beginning — member-local checkpoints do not travel.
-// A member job that *fails* (as opposed to becoming unreachable) fails
-// the federated job: the same spec would fail anywhere, so reassignment
-// would loop. Draws are never double-tallied: exactly one fetched
-// Result per window enters the merge, the other copies are canceled,
-// and the merge itself rejects overlaps and gaps.
+// backup tasks of MapReduce, Dean & Ghemawat, OSDI 2004). Every copy is
+// the same thing: a ranged job for the window, on a member's queue or on
+// the coordinator's own. The coordinator reaches its own copies in
+// process (Submit, Get, Result/Trace, Cancel) and its members' over the
+// resilient RPC client; that is the only difference, so the coordinator's
+// copy checkpoints, resumes after a restart, traces and reports progress
+// exactly like any other job. Each poll cycle polls every copy and
+// merges the first to complete; drops a copy whose daemon lost the job,
+// or whose member stopped both heartbeating past Config.MemberTimeout
+// and answering; offers every window without a copy to the
+// least-loaded live member, or, when the window has gone without a
+// running copy for MemberTimeout while no member was placeable, submits
+// it to the coordinator's own queue; backs up a lone copy that an idle
+// member would overtake by at least MemberTimeout, or whose progress
+// stood still for MemberTimeout; and cancels the losing copies of
+// merged windows until their daemons answer. Every new copy starts the
+// window from its beginning — checkpoints do not travel between
+// daemons. A copy that *fails* (as opposed to becoming unreachable)
+// fails the federated job: the same spec would fail anywhere, so
+// reassignment would loop. Draws are never double-tallied: exactly one
+// fetched Result per window enters the merge, the other copies are
+// canceled, and the merge itself rejects overlaps and gaps.
 
 // Federation sentinels; the HTTP layer maps ErrNotCoordinator to 409
 // and ErrUnknownMember to 404 (a member receiving 404 on heartbeat
@@ -278,18 +283,27 @@ func (s *Service) memberAliveByURL(url string) bool {
 	return false
 }
 
-// fedCopy is one evaluation of a draw window: a member job, or — with
-// an empty URL — the coordinator's own checkpointed ranged run. Job is
-// empty while a member copy waits to be submitted. Label is the
-// member's display label at assignment, the identity stamped on the
-// window's trace events and fleet-view rows.
+// fedCopy is one evaluation of a draw window: a ranged job on the member
+// at URL, or — with an empty URL — on the coordinator's own queue. Job
+// is empty while the copy waits to be submitted. Label is the member's
+// display label at assignment, the identity stamped on the window's
+// trace events and fleet-view rows.
 type fedCopy struct {
 	URL   string `json:"url,omitempty"`
 	Job   string `json:"job,omitempty"`
 	Label string `json:"label"`
 }
 
-func (c fedCopy) local() bool { return c.URL == "" }
+// own reports whether the copy runs on the coordinator's own queue.
+func (c fedCopy) own() bool { return c.URL == "" }
+
+// host names where the copy runs, for warnings.
+func (c fedCopy) host() string {
+	if c.own() {
+		return localMemberLabel
+	}
+	return c.URL
+}
 
 // fedPart is one draw window's state inside the durable federation
 // document.
@@ -318,10 +332,11 @@ type fedPart struct {
 }
 
 // running reports whether the window has a copy that is evaluating it:
-// the coordinator's own, or one submitted to a member.
+// the coordinator's own (which needs no member to be submitted), or one
+// submitted to a member.
 func (p *fedPart) running() bool {
 	for _, c := range p.Copies {
-		if c.local() || c.Job != "" {
+		if c.own() || c.Job != "" {
 			return true
 		}
 	}
@@ -332,7 +347,9 @@ func (p *fedPart) running() bool {
 // documents carried before copy lists: one member job (member_*), an
 // optional speculative duplicate (spec_member_*), or a local run.
 // loadOrInitFed turns it into Copies, so a job written by an older
-// coordinator resumes without re-evaluating anything.
+// coordinator resumes without re-evaluating any member's draws; a local
+// run becomes an own copy not yet submitted, which evaluates its window
+// from the start (its old part checkpoint is not read).
 type fedPartV1 struct {
 	MemberURL      string `json:"member_url"`
 	MemberJob      string `json:"member_job"`
@@ -360,10 +377,11 @@ func (v fedPartV1) copies() []fedCopy {
 // fedDoc is the durable merge state of one federated job
 // (<id>.fed.json). It is persisted after every mutation, so a restarted
 // coordinator re-attaches to every member job and re-evaluates nothing.
-// (The one unavoidable crash window: a crash between a member-submit
-// succeeding and the document persisting leaves an orphan member job —
-// its draws may be evaluated twice on the fleet, but never tallied
-// twice, because only the document's own copies can enter the merge.)
+// (The one unavoidable crash window: a crash between a submit
+// succeeding and the document persisting leaves an orphan job, on a
+// member or on the coordinator's own queue — its draws may be evaluated
+// twice, but never tallied twice, because only the document's own
+// copies can enter the merge.)
 type fedDoc struct {
 	ID          string    `json:"id"`
 	Fingerprint uint64    `json:"plan_fingerprint"`
@@ -378,9 +396,6 @@ func (s *Service) partPath(id string, k int) string {
 }
 func (s *Service) partTracePath(id string, k int) string {
 	return filepath.Join(s.cfg.Dir, fmt.Sprintf("%s.part%d.trace.jsonl", id, k))
-}
-func (s *Service) partCheckpointPath(id string, k int) string {
-	return filepath.Join(s.cfg.Dir, fmt.Sprintf("%s.part%d.ckpt", id, k))
 }
 
 // persistFed writes the federation document atomically (tmp + rename).
@@ -429,8 +444,6 @@ func (s *Service) removeFedState(j *job, parts int) {
 	for k := 0; k < parts; k++ {
 		os.Remove(s.partPath(j.id, k))
 		os.Remove(s.partTracePath(j.id, k))
-		os.Remove(s.partCheckpointPath(j.id, k))
-		os.Remove(s.partCheckpointPath(j.id, k) + ".bak")
 	}
 }
 
@@ -454,14 +467,15 @@ type fedRuntime struct {
 	// orphaned is, per window, since when it has had neither a running
 	// copy nor a placeable member to take one.
 	orphaned []time.Time
-	// leases holds each member copy's latest successful poll (for a copy
-	// not yet submitted, its offer).
+	// leases holds each copy's latest successful poll (for a copy not yet
+	// submitted, its offer).
 	leases map[fedCopy]lease
-	// local holds the live runs of the coordinator's own copies.
-	local map[int]*localRun
+	// losers are the losing copies of merged windows whose daemons have
+	// not yet answered a cancel.
+	losers []fedCopy
 }
 
-// lease is what the coordinator last learned of one member copy: its
+// lease is what the coordinator last learned of one copy: its
 // reported progress and rate, and when that progress last advanced.
 type lease struct {
 	done    int64
@@ -480,28 +494,12 @@ func (rt *fedRuntime) renew(c fedCopy, st JobStatus) {
 	rt.leases[c] = l
 }
 
-// localRun is one coordinator-side copy running on the local engine.
-// done closes when the engine returns; prog is the live progress
-// snapshot for the fleet view.
-type localRun struct {
-	done chan struct{}
-	res  *core.Result
-	err  error
-	mu   sync.Mutex
-	prog core.Progress
-}
-
-func (lr *localRun) progress() core.Progress {
-	lr.mu.Lock()
-	defer lr.mu.Unlock()
-	return lr.prog
-}
-
 // runFederated drives one federated job end to end: split the plan
 // across the live fleet, keep every window evaluated by at least one
 // copy, fetch the first finished copy of each window, and merge them in
 // draw order. It owns the job's terminal transition exactly like
-// runJob does.
+// runJob does, and after the merge keeps canceling losing copies until
+// none is left or the service shuts down.
 func (s *Service) runFederated(ctx context.Context, j *job) {
 	_, plan, err := buildCampaign(j.spec, s.cfg.BuildEvaluator)
 	if err != nil {
@@ -518,39 +516,44 @@ func (s *Service) runFederated(ctx context.Context, j *job) {
 	fed := s.loadOrInitFed(j, core.PlanFingerprint(plan))
 	ticker := time.NewTicker(s.cfg.FederationPoll)
 	defer ticker.Stop()
-	rt := &fedRuntime{start: time.Now(), leases: map[fedCopy]lease{}, local: map[int]*localRun{}}
+	rt := &fedRuntime{start: time.Now(), leases: map[fedCopy]lease{}}
+	merged := false
 	for {
-		done, err := s.fedStep(ctx, j, plan, fed, rt)
-		if err != nil {
-			s.finish(j, StateFailed, err.Error(), s.fedDone(j), s.fedCritical(j))
-			return
+		if !merged {
+			done, err := s.fedStep(ctx, j, plan, fed, rt)
+			if err != nil {
+				s.finish(j, StateFailed, err.Error(), s.fedDone(j), s.fedCritical(j))
+				return
+			}
+			merged = done
 		}
-		if done {
+		s.cancelLosers(rt)
+		if merged && len(rt.losers) == 0 {
 			return
 		}
 		select {
 		case <-ctx.Done():
+			if merged {
+				return // shutdown; the losers' jobs are not tallied anywhere
+			}
 			if s.isUserCancel(j) {
-				// Best-effort: stop every member copy, wait out the local
-				// runs, then drop the merge state — an individually
-				// canceled job never resumes.
+				// Best-effort: stop every copy, then drop the merge state —
+				// an individually canceled job never resumes.
 				for _, p := range fed.Parts {
 					for _, c := range p.Copies {
 						if !p.Fetched && c.Job != "" {
-							s.cancelMemberJob(c.URL, c.Job)
+							s.cancelCopy(c)
 						}
 					}
-				}
-				for _, lr := range rt.local {
-					<-lr.done // the engine stops at its next shard boundary
 				}
 				s.removeFedState(j, len(fed.Parts))
 				s.finish(j, StateCanceled, "canceled", s.fedDone(j), s.fedCritical(j))
 				return
 			}
 			// Coordinator shutdown: the merge state is durable, the member
-			// jobs keep running, and local copies checkpointed; the next
-			// daemon run re-attaches and resumes.
+			// jobs keep running, and the coordinator's own copies checkpoint
+			// and re-pend with it; the next daemon run re-attaches to all of
+			// them by job ID and resumes.
 			s.repending(j, s.fedDone(j), s.fedCritical(j))
 			return
 		case <-ticker.C:
@@ -558,13 +561,17 @@ func (s *Service) runFederated(ctx context.Context, j *job) {
 	}
 }
 
-// cancelMemberJob best-effort stops one member job (the cancel path
-// and the copies that lost a window). A short deadline bounds the
-// retries — an unreachable member's job dies with the member anyway.
-func (s *Service) cancelMemberJob(memberURL, jobID string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*s.cfg.MemberRPCTimeout)
-	defer cancel()
-	_ = s.fed.api(ctx, memberURL, http.MethodDelete, "/api/v1/campaigns/"+jobID, nil, nil)
+// cancelLosers cancels the losing copies of merged windows, keeping for
+// the next cycle each one whose daemon did not answer while its member
+// still heartbeats — a member that died took its job with it.
+func (s *Service) cancelLosers(rt *fedRuntime) {
+	kept := rt.losers[:0]
+	for _, c := range rt.losers {
+		if !s.cancelCopy(c) && s.memberAliveByURL(c.URL) {
+			kept = append(kept, c)
+		}
+	}
+	rt.losers = kept
 }
 
 // fedStep advances the federated job one poll cycle under one lease
@@ -662,9 +669,9 @@ func (s *Service) fedStep(ctx context.Context, j *job, plan *core.Plan, fed *fed
 		if err := s.persistFed(fed); err != nil {
 			return false, err
 		}
-		s.appendWarning(j, "part %d: no placeable member for %s; running the window locally on the coordinator (degraded mode)",
+		s.appendWarning(j, "part %d: no placeable member for %s; running the window on the coordinator's own queue (degraded mode)",
 			k, now.Sub(rt.orphaned[k]).Round(time.Second))
-		if err := s.stepLocalPart(ctx, j, fed, k, rt, &views[k]); err != nil {
+		if err := s.submitCopy(ctx, j, fed, k, 0); err != nil {
 			return false, err
 		}
 	}
@@ -674,7 +681,7 @@ func (s *Service) fedStep(ctx context.Context, j *job, plan *core.Plan, fed *fed
 	// a window of it — when that member would overtake the copy.
 	for k := range fed.Parts {
 		p := &fed.Parts[k]
-		if p.Fetched || len(p.Copies) != 1 || p.Copies[0].local() {
+		if p.Fetched || len(p.Copies) != 1 {
 			continue
 		}
 		l, polled := rt.leases[p.Copies[0]]
@@ -689,7 +696,7 @@ func (s *Service) fedStep(ctx context.Context, j *job, plan *core.Plan, fed *fed
 			held[m.URL]++
 			s.specParts.Inc()
 			s.appendWarning(j, "part %d: copy on %s at %d of %d draws, %.0f/s; %s finished a window at %.0f/s, so the window was speculatively re-dispatched to it",
-				k, p.Copies[0].URL, l.done, rangesLen(p.Ranges), l.rate, m.URL, idle)
+				k, p.Copies[0].host(), l.done, rangesLen(p.Ranges), l.rate, m.URL, idle)
 			if err := s.addCopy(ctx, j, fed, k, m); err != nil {
 				return false, err
 			}
@@ -723,10 +730,7 @@ func (s *Service) pollPart(ctx context.Context, j *job, fed *fedDoc, k int, rt *
 	p := &fed.Parts[k]
 	for i := 0; i < len(p.Copies); i++ {
 		c := p.Copies[i]
-		if c.local() {
-			return s.stepLocalPart(ctx, j, fed, k, rt, view) // a local copy is always alone
-		}
-		if c.Job == "" && s.memberAliveByURL(c.URL) {
+		if c.Job == "" && (c.own() || s.memberAliveByURL(c.URL)) {
 			rt.renew(c, JobStatus{}) // an unsubmitted copy's lease runs from its offer
 			if err := s.submitCopy(ctx, j, fed, k, i); err != nil {
 				return err
@@ -736,7 +740,7 @@ func (s *Service) pollPart(ctx context.Context, j *job, fed *fedDoc, k int, rt *
 		var st JobStatus
 		err := ErrUnknownMember // an unsubmitted copy whose member died
 		if c.Job != "" {
-			err = s.fed.api(ctx, c.URL, http.MethodGet, "/api/v1/campaigns/"+c.Job, nil, &st)
+			st, err = s.copyStatus(ctx, c)
 		}
 		var fatal *fatalMemberError
 		if err != nil {
@@ -748,9 +752,9 @@ func (s *Service) pollPart(ctx context.Context, j *job, fed *fedDoc, k int, rt *
 			if len(p.Copies) == 0 {
 				p.Reassigned++
 				s.appendWarning(j, "part %d: member %s unreachable or lost its job %q; reassigning its draw ranges (attempt %d)",
-					k, c.URL, c.Job, p.Reassigned)
+					k, c.host(), c.Job, p.Reassigned)
 			} else {
-				s.appendWarning(j, "part %d: member %s unreachable or lost its job %q; dropping its copy", k, c.URL, c.Job)
+				s.appendWarning(j, "part %d: member %s unreachable or lost its job %q; dropping its copy", k, c.host(), c.Job)
 			}
 			if err := s.persistFed(fed); err != nil {
 				return err
@@ -759,7 +763,7 @@ func (s *Service) pollPart(ctx context.Context, j *job, fed *fedDoc, k int, rt *
 		}
 		switch st.State {
 		case StateCompleted:
-			if err := s.completePart(ctx, j, fed, k, i, st); err != nil {
+			if err := s.completePart(ctx, j, fed, k, i, st, rt); err != nil {
 				if errors.As(err, &fatal) {
 					return err
 				}
@@ -767,7 +771,7 @@ func (s *Service) pollPart(ctx context.Context, j *job, fed *fedDoc, k int, rt *
 			}
 			return nil
 		case StateFailed, StateCanceled:
-			return fmt.Errorf("service: member %s job %s %s: %s", c.URL, c.Job, st.State, st.Error)
+			return fmt.Errorf("service: member %s job %s %s: %s", c.host(), c.Job, st.State, st.Error)
 		}
 		rt.renew(c, st)
 		if st.Done >= view.Done { // racing copies: show the farther one
@@ -831,24 +835,89 @@ func (s *Service) addCopy(ctx context.Context, j *job, fed *fedDoc, k int, m Mem
 	return s.submitCopy(ctx, j, fed, k, len(p.Copies)-1)
 }
 
-// submitCopy submits copy i of window k, assigned to its member but not
-// yet running there, and records the member job durably. A transient
-// failure leaves the copy unsubmitted for the next cycle; a member
-// rejecting the spec fails the job, since the same spec would be
-// rejected anywhere.
+// submitCopy submits copy i of window k, assigned to its daemon but not
+// yet running there, and records the job durably. A transient failure
+// leaves the copy unsubmitted for the next cycle; a daemon rejecting
+// the spec fails the job, since the same spec would be rejected
+// anywhere.
 func (s *Service) submitCopy(ctx context.Context, j *job, fed *fedDoc, k, i int) error {
 	c := &fed.Parts[k].Copies[i]
 	spec := s.partSpec(j, fed.Parts[k].Ranges, k, c.Label)
 	var st JobStatus
-	if err := s.fed.api(ctx, c.URL, http.MethodPost, "/api/v1/campaigns", spec, &st); err != nil {
+	var err error
+	if c.own() {
+		st, err = s.Submit(spec)
+		err = ownErr(err)
+	} else {
+		err = s.fed.api(ctx, c.URL, http.MethodPost, "/api/v1/campaigns", spec, &st)
+	}
+	if err != nil {
 		var fatal *fatalMemberError
 		if errors.As(err, &fatal) {
-			return fmt.Errorf("service: member %s rejected part %d: %w", c.URL, k, err)
+			return fmt.Errorf("service: member %s rejected part %d: %w", c.host(), k, err)
 		}
 		return nil
 	}
 	c.Job = st.ID
 	return s.persistFed(fed)
+}
+
+// The remaining call points of a copy. Each reaches the coordinator's
+// own copy in process — so neither the chaos transport nor a breaker
+// ever sees it — and a member's over the resilient RPC client, with the
+// same error classes: *fatalMemberError for what retrying cannot fix,
+// anything else transient.
+
+// ownErr classifies an in-process answer like a member's HTTP answer:
+// an unknown job or a rejected spec is fatal; a full queue, a draining
+// service or a failed state write is retried next cycle.
+func ownErr(err error) error {
+	if errors.Is(err, ErrUnknownJob) || errors.Is(err, ErrInvalidSpec) {
+		return &fatalMemberError{msg: err.Error()}
+	}
+	return err
+}
+
+// copyStatus polls the job of copy c.
+func (s *Service) copyStatus(ctx context.Context, c fedCopy) (JobStatus, error) {
+	if c.own() {
+		st, err := s.Get(c.Job)
+		return st, ownErr(err)
+	}
+	var st JobStatus
+	err := s.fed.api(ctx, c.URL, http.MethodGet, "/api/v1/campaigns/"+c.Job, nil, &st)
+	return st, err
+}
+
+// copyDoc fetches the "result" or "trace" document of copy c's
+// completed job.
+func (s *Service) copyDoc(ctx context.Context, c fedCopy, doc string) ([]byte, error) {
+	if !c.own() {
+		return s.fed.fetchDoc(ctx, c.URL, c.Job, doc)
+	}
+	read := s.Result
+	if doc == "trace" {
+		read = s.Trace
+	}
+	data, err := read(c.Job)
+	return data, ownErr(err)
+}
+
+// cancelCopy stops copy c's job and reports whether its daemon answered:
+// the job is canceled, or an answer retrying cannot change (404 unknown,
+// 409 already finished). The coordinator's own queue always answers. A
+// short deadline bounds a member's retries; an unanswered cancel is
+// retried by the caller.
+func (s *Service) cancelCopy(c fedCopy) bool {
+	if c.own() {
+		s.Cancel(c.Job)
+		return true
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*s.cfg.MemberRPCTimeout)
+	defer cancel()
+	err := s.fed.api(ctx, c.URL, http.MethodDelete, "/api/v1/campaigns/"+c.Job, nil, nil)
+	var fatal *fatalMemberError
+	return err == nil || errors.As(err, &fatal)
 }
 
 // partSpec is the member-job spec for one draw window of j: the same
@@ -878,23 +947,23 @@ func memberLabel(m MemberStatus) string {
 
 // completePart downloads and persists copy i of part k, which
 // completed first. The Result is parse-validated before it is written,
-// so a torn response can never enter the merge; the member's part trace
-// rides along for the merged-trace splice (a member that cannot serve
+// so a torn response can never enter the merge; the copy's part trace
+// rides along for the merged-trace splice (a daemon that cannot serve
 // its trace degrades to a warning — the trace is observability, the
-// Result is the contract). The other copies are canceled and their
-// Results never fetched: exactly one Result per window reaches the
-// merge, so no draw is ever double-tallied.
-func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k, i int, st JobStatus) error {
+// Result is the contract). The other copies join rt.losers to be
+// canceled, and their Results are never fetched: exactly one Result per
+// window reaches the merge, so no draw is ever double-tallied.
+func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k, i int, st JobStatus, rt *fedRuntime) error {
 	p := &fed.Parts[k]
 	win := p.Copies[i]
-	data, err := s.fed.fetchDoc(ctx, win.URL, win.Job, "result")
+	data, err := s.copyDoc(ctx, win, "result")
 	if err != nil {
 		return err
 	}
 	if _, err := core.ReadResultJSON(bytes.NewReader(data)); err != nil {
 		return &fatalMemberError{msg: fmt.Sprintf("part %d result unparseable: %v", k, err)}
 	}
-	tdata, terr := s.fed.fetchDoc(ctx, win.URL, win.Job, "trace")
+	tdata, terr := s.copyDoc(ctx, win, "trace")
 	var fatal *fatalMemberError
 	switch {
 	case terr == nil:
@@ -903,7 +972,7 @@ func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k, i in
 		}
 	case errors.As(terr, &fatal):
 		s.appendWarning(j, "part %d: member %s job %s has no trace (%v); the merged trace will omit it",
-			k, win.URL, win.Job, terr)
+			k, win.host(), win.Job, terr)
 	default:
 		return terr // transient: retry the whole fetch next cycle
 	}
@@ -913,7 +982,7 @@ func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k, i in
 	losers := append(append([]fedCopy(nil), p.Copies[:i]...), p.Copies[i+1:]...)
 	for _, c := range losers {
 		s.appendWarning(j, "part %d: the copy on %s finished first; merging it and canceling the copy on %s",
-			k, win.URL, c.URL)
+			k, win.host(), c.host())
 	}
 	p.Copies = []fedCopy{win}
 	p.Fetched = true
@@ -926,18 +995,16 @@ func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k, i in
 	if err := s.persistFed(fed); err != nil {
 		return err
 	}
-	// The losing copies are canceled before the merge can run (the merge
-	// needs every part fetched, and this one just became fetched with
-	// the winner's document); their draws may have been evaluated twice
-	// on the fleet, but are tallied exactly once.
+	// The losers' draws may have been evaluated twice on the fleet, but
+	// are tallied exactly once.
 	for _, c := range losers {
 		if c.Job != "" { // an unsubmitted copy has nothing to cancel
-			s.cancelMemberJob(c.URL, c.Job)
+			rt.losers = append(rt.losers, c)
 		}
 	}
 	if st.AbandonedLanes > 0 {
 		s.appendWarning(j, "member %s job %s: %d watchdog-abandoned lane(s)",
-			win.URL, win.Job, st.AbandonedLanes)
+			win.host(), win.Job, st.AbandonedLanes)
 	}
 	s.mu.Lock()
 	j.abandoned += st.AbandonedLanes
@@ -951,142 +1018,6 @@ func (s *Service) completePart(ctx context.Context, j *job, fed *fedDoc, k, i in
 // localMemberLabel is the member identity stamped on the coordinator's
 // own copies in traces, fleet rows, and warnings.
 const localMemberLabel = "coordinator"
-
-// stepLocalPart advances the coordinator's own copy of window k: starts
-// the local engine run on first sight, reflects its live progress in
-// the fleet view while it runs, and harvests the finished Result into
-// the same part slot the merge reads for remote windows.
-func (s *Service) stepLocalPart(ctx context.Context, j *job, fed *fedDoc, k int, rt *fedRuntime, view *FleetPart) error {
-	lr := rt.local[k]
-	if lr == nil {
-		lr = s.startLocalPart(ctx, j, fed, k)
-		rt.local[k] = lr
-	}
-	select {
-	case <-lr.done:
-	default:
-		p := lr.progress()
-		view.Done = p.Done
-		view.Critical = p.Critical
-		view.Rate = p.Rate
-		return nil
-	}
-	switch {
-	case lr.err == nil && lr.res != nil && !lr.res.Partial:
-		var buf bytes.Buffer
-		if err := lr.res.WriteJSON(&buf); err != nil {
-			return fmt.Errorf("service: part %d local result: %w", k, err)
-		}
-		if err := s.atomicWrite(s.partPath(j.id, k), buf.Bytes()); err != nil {
-			return fmt.Errorf("service: writing part result: %w", err)
-		}
-		p := &fed.Parts[k]
-		p.Fetched = true
-		p.Done = lr.res.Injections()
-		p.Critical = criticalOf(lr.res)
-		if err := s.persistFed(fed); err != nil {
-			return err
-		}
-		os.Remove(s.partCheckpointPath(j.id, k))
-		os.Remove(s.partCheckpointPath(j.id, k) + ".bak")
-		delete(rt.local, k)
-		return nil
-	case ctx.Err() != nil, lr.err == nil && lr.res != nil && lr.res.Partial:
-		// Shutdown or cancel interrupted the run; runFederated's ctx
-		// branch owns what happens next (the part checkpoint makes a
-		// daemon-restart resume exact).
-		return nil
-	default:
-		return fmt.Errorf("service: part %d local run: %v", k, lr.err)
-	}
-}
-
-// startLocalPart launches part k's window on the coordinator's own
-// engine as an ordinary checkpointed ranged job: same spec, same draw
-// window, part-scoped checkpoint and trace files, resumable. Workers
-// are clamped to the local pool — safe because Results are
-// bit-identical at any worker count.
-func (s *Service) startLocalPart(ctx context.Context, j *job, fed *fedDoc, k int) *localRun {
-	lr := &localRun{done: make(chan struct{})}
-	spec := s.partSpec(j, fed.Parts[k].Ranges, k, localMemberLabel)
-	if spec.Workers > s.cfg.TotalWorkers {
-		spec.Workers = s.cfg.TotalWorkers
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer close(lr.done)
-		ev, plan, err := buildCampaign(spec, s.cfg.BuildEvaluator)
-		if err != nil {
-			lr.err = err
-			return
-		}
-		tr, closeTrace := s.openPartTrace(j, k, spec)
-		defer closeTrace()
-		progress := func(p core.Progress) {
-			lr.mu.Lock()
-			lr.prog = p
-			lr.mu.Unlock()
-		}
-		opts := []core.Option{
-			core.WithWorkers(spec.Workers),
-			core.WithCheckpoint(s.partCheckpointPath(j.id, k)),
-			core.WithResume(),
-			core.WithWarnings(func(msg string) { s.warnf("job %s part %d: %s", j.id, k, msg) }),
-			core.WithDrawRanges(spec.Ranges),
-		}
-		if tr != nil {
-			tp, inner := tr.Progress(spec.Name), progress
-			progress = func(p core.Progress) { tp(p); inner(p) }
-			opts = append(opts, core.WithTrace(tr.Sink(spec.Name)))
-		}
-		opts = append(opts, core.WithProgress(progress))
-		if s.cfg.CheckpointEvery > 0 {
-			opts = append(opts, core.WithCheckpointInterval(s.cfg.CheckpointEvery))
-		}
-		if s.cfg.ProgressEvery > 0 {
-			opts = append(opts, core.WithProgressInterval(s.cfg.ProgressEvery))
-		}
-		if spec.EarlyStop != nil {
-			opts = append(opts, core.WithEarlyStop(*spec.EarlyStop))
-		}
-		if spec.ExperimentTimeoutMS > 0 {
-			opts = append(opts, core.WithExperimentTimeout(time.Duration(spec.ExperimentTimeoutMS)*time.Millisecond))
-		}
-		if spec.MaxRetries != nil {
-			opts = append(opts, core.WithMaxRetries(*spec.MaxRetries))
-		}
-		lr.res, lr.err = core.NewEngine(opts...).Execute(ctx, ev, plan, spec.RunSeed)
-	}()
-	return lr
-}
-
-// openPartTrace opens the degraded window's on-disk part trace with the
-// same part_meta prologue a member daemon writes, so the merged-trace
-// splice treats local and remote parts identically. Trace trouble
-// degrades to a warning; the returned tracer may be nil.
-func (s *Service) openPartTrace(j *job, k int, spec CampaignSpec) (*telemetry.Tracer, func()) {
-	f, err := os.Create(s.partTracePath(j.id, k))
-	if err != nil {
-		s.warnf("job %s part %d: trace: %v", j.id, k, err)
-		return nil, func() {}
-	}
-	pm := telemetry.PartMeta(spec.Name, j.id, k, localMemberLabel, spec.Ranges)
-	if data, merr := json.Marshal(pm); merr == nil {
-		if _, werr := f.Write(append(data, '\n')); werr != nil {
-			s.warnf("job %s part %d: trace: %v", j.id, k, werr)
-		}
-	}
-	tr := telemetry.NewTracer(f, traceBuffer)
-	return tr, func() {
-		if cerr := tr.Close(); cerr != nil {
-			s.warnf("job %s part %d: trace: %v", j.id, k, cerr)
-		}
-		if cerr := f.Close(); cerr != nil {
-			s.warnf("job %s part %d: trace: %v", j.id, k, cerr)
-		}
-	}
-}
 
 // mergeFederated folds the fetched part Results into the final document
 // and completes the job. The merge is strict (in-order, gap-free,

@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +20,10 @@ import (
 // and feeds the GET /api/v1/fleet view that sfictl fleet/top render.
 // Scraping is strictly read-only and failure-tolerant — a member that
 // cannot be scraped shows up as sfid_member_up 0 with a bumped error
-// counter, never as a coordinator fault.
+// counter, never as a coordinator fault. A scrape is one plain GET per
+// tick, outside the resilient RPC client: it neither retries nor counts
+// against the per-member breakers that dispatch and polls go through,
+// so a flapping link cannot make scrapes close the fleet to placement.
 
 // FleetPart is one running (or just-fetched) draw window of a federated
 // job, as seen in the fleet view.
@@ -77,6 +83,9 @@ type FleetStatus struct {
 // fleetState is the scrape-side bookkeeping, under its own lock so
 // metric collection never contends with the scheduler.
 type fleetState struct {
+	// client carries the scrapes (Config.Transport, no retry layer).
+	client *http.Client
+
 	mu      sync.Mutex
 	scrapes map[string]*memberScrape // keyed by member ID
 	// injTotal accumulates per-(member, campaign) done-injection deltas
@@ -95,8 +104,8 @@ type memberScrape struct {
 	lastDone   map[string]float64 // member-local campaign → done high-water
 }
 
-func newFleetState() *fleetState {
-	return &fleetState{scrapes: map[string]*memberScrape{}}
+func newFleetState(transport http.RoundTripper) *fleetState {
+	return &fleetState{client: &http.Client{Transport: transport}, scrapes: map[string]*memberScrape{}}
 }
 
 // memberLocked returns the member's scrape record, creating it on first
@@ -147,7 +156,7 @@ func (s *Service) scrapeMember(ctx context.Context, m MemberStatus) {
 		s.fleet.mu.Unlock()
 		return
 	}
-	body, err := s.fed.fetchMetrics(ctx, m.URL)
+	body, err := s.scrape(ctx, m.URL)
 	s.fleet.mu.Lock()
 	defer s.fleet.mu.Unlock()
 	st := s.fleet.memberLocked(m.ID)
@@ -190,6 +199,26 @@ func (s *Service) scrapeMember(ctx context.Context, m MemberStatus) {
 		}
 	}
 	st.rates = rates
+}
+
+// scrape fetches the /metrics exposition of the member at base, in one
+// attempt under the member RPC deadline; the next tick is the retry.
+func (s *Service) scrape(ctx context.Context, base string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.MemberRPCTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := s.fleet.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("metrics scrape: HTTP %d", resp.StatusCode)
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // parseMetricLine parses one Prometheus text-exposition sample into

@@ -75,7 +75,7 @@ func TestScrapeMemberHighWater(t *testing.T) {
 	// A quiet scrape loop (hour-long interval) so only the explicit
 	// scrapeMember calls below touch the fleet state.
 	s, err := New(Config{Dir: t.TempDir(), Coordinator: true,
-		MemberTimeout: time.Hour, ScrapeInterval: time.Hour})
+		MemberTimeout: time.Hour, ScrapeInterval: time.Hour, BreakerThreshold: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +147,18 @@ func TestScrapeMemberHighWater(t *testing.T) {
 	}
 	if got := total(); got != 430 {
 		t.Errorf("injTotal after failed scrape = %v, want 430 (unchanged)", got)
+	}
+
+	// Failed scrapes are not fleet RPCs: however many fail, the member's
+	// dispatch breaker stays closed.
+	for i := 0; i < 3; i++ {
+		s.scrapeMember(ctx, m)
+	}
+	if st := snap(); st.scrapeErrs != 4 {
+		t.Errorf("scrape errors after four failed scrapes = %d, want 4", st.scrapeErrs)
+	}
+	if !s.fed.available(srv.URL) {
+		t.Error("failed scrapes opened the member's dispatch breaker")
 	}
 
 	// A member outside the heartbeat timeout is marked down without

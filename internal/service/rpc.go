@@ -13,12 +13,13 @@ import (
 )
 
 // This file is the resilient RPC seam between fleet peers: every
-// coordinator→member call (dispatch, poll, cancel, result/trace fetch,
-// metrics scrape) and every member→coordinator call (register,
-// heartbeat) goes through one memberClient, which layers per-attempt
-// deadlines, retries with exponential backoff + full jitter under a
-// shared budget, and a per-peer three-state circuit breaker over a
-// plain http.Client. The engine hot path never touches any of this —
+// coordinator→member call (dispatch, poll, cancel, result/trace fetch)
+// and every member→coordinator call (register, heartbeat) goes through
+// one memberClient, which layers per-attempt deadlines, retries with
+// exponential backoff + full jitter under a shared budget, and a
+// per-peer three-state circuit breaker over a plain http.Client. The
+// metrics scrape (fleet.go) and the coordinator's own copies stay
+// outside it, and the engine hot path never touches any of this —
 // resilience wraps RPCs only.
 
 // fatalMemberError marks a member response that retrying cannot fix
@@ -130,34 +131,6 @@ func (c *memberClient) fetchDoc(ctx context.Context, base, jobID, doc string) ([
 		}
 		if resp.StatusCode != http.StatusOK {
 			return resilience.Permanent(&fatalMemberError{msg: fmt.Sprintf("%s fetch: HTTP %d", doc, resp.StatusCode)})
-		}
-		out = data
-		return nil
-	})
-	return out, err
-}
-
-// fetchMetrics downloads one member's Prometheus exposition.
-func (c *memberClient) fetchMetrics(ctx context.Context, base string) ([]byte, error) {
-	var out []byte
-	err := c.group.Do(ctx, base, func(ctx context.Context) error {
-		actx, cancel := context.WithTimeout(ctx, c.rpcTimeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(actx, http.MethodGet, base+"/metrics", nil)
-		if err != nil {
-			return resilience.Permanent(err)
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("metrics scrape: HTTP %d", resp.StatusCode)
 		}
 		out = data
 		return nil

@@ -257,7 +257,7 @@ func New(cfg Config) (*Service, error) {
 		cfg.BreakerThreshold, cfg.BreakerOpenFor,
 		func(int, error) { s.retries.Inc() })
 	if cfg.Coordinator {
-		s.fleet = newFleetState()
+		s.fleet = newFleetState(cfg.Transport)
 		s.loadMembers()
 		s.registerFleetMetrics()
 	}

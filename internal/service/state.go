@@ -29,7 +29,8 @@ import (
 // member registry) and, per federated job, <id>.fed.json plus the
 // fetched <id>.partK.result.json / <id>.partK.trace.jsonl part
 // documents; the part traces are spliced into <id>.trace.jsonl when the
-// merge completes.
+// merge completes. A window the coordinator evaluates itself is an
+// ordinary job with files of its own.
 
 func (s *Service) jobPath(id string) string {
 	return filepath.Join(s.cfg.Dir, id+".job.json")

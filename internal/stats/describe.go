@@ -24,7 +24,7 @@ func Variance(values []float64) float64 {
 	var ss float64
 	for _, v := range values {
 		d := v - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(len(values))
 }
@@ -54,7 +54,7 @@ func StdDevFloat32(values []float32) float64 {
 	var ss float64
 	for _, v := range values {
 		d := float64(v) - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(values)))
 }

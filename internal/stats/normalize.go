@@ -31,7 +31,7 @@ func MinMaxNormalize(values []float64, a, b float64) []float64 {
 			out[i] = (a + b) / 2
 			continue
 		}
-		out[i] = a + unitPos(v, lo, hi)*(b-a)
+		out[i] = a + float64(unitPos(v, lo, hi)*(b-a))
 	}
 	return out
 }
@@ -43,7 +43,7 @@ func unitPos(v, lo, hi float64) float64 {
 	if d := hi - lo; !math.IsInf(d, 0) {
 		t = (v - lo) / d
 	} else {
-		t = (v/2 - lo/2) / (hi/2 - lo/2)
+		t = (float64(v/2) - float64(lo/2)) / (float64(hi/2) - float64(lo/2))
 	}
 	if t < 0 {
 		return 0
@@ -64,7 +64,7 @@ func OutlierBounds(values []float64) (lo, hi float64) {
 	q1 := Quantile(values, 0.25)
 	q3 := Quantile(values, 0.75)
 	iqr := q3 - q1
-	return q1 - 1.5*iqr, q3 + 1.5*iqr
+	return q1 - float64(1.5*iqr), q3 + float64(1.5*iqr)
 }
 
 // MinMaxNormalizeExcludingOutliers implements the full Eq. 5 convention
@@ -105,7 +105,7 @@ func MinMaxNormalizeExcludingOutliers(values []float64, a, b float64) []float64 
 		case hi == lo:
 			out[i] = (a + b) / 2
 		default:
-			out[i] = a + unitPos(v, lo, hi)*(b-a)
+			out[i] = a + float64(unitPos(v, lo, hi)*(b-a))
 		}
 	}
 	return out
@@ -127,11 +127,11 @@ func Quantile(values []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	i := int(math.Floor(pos))
 	frac := pos - float64(i)
 	if i+1 >= len(s) {
 		return s[len(s)-1]
 	}
-	return s[i]*(1-frac) + s[i+1]*frac
+	return float64(s[i]*(1-frac)) + float64(s[i+1]*frac)
 }

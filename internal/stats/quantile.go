@@ -25,7 +25,7 @@ import (
 // NormalCDF returns Φ(x), the standard normal cumulative distribution
 // function.
 func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
+	return float64(0.5 * math.Erfc(-x/math.Sqrt2))
 }
 
 // NormalQuantile returns Φ⁻¹(p) for p ∈ (0, 1) using Acklam's rational
@@ -62,23 +62,20 @@ func NormalQuantile(p float64) float64 {
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		x = horner(q, c[:]...) / horner(q, d[0], d[1], d[2], d[3], 1)
 	case p <= 1-pLow:
 		q := p - 0.5
 		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		x = horner(r, a[:]...) * q / horner(r, b[0], b[1], b[2], b[3], b[4], 1)
 	default:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		x = -horner(q, c[:]...) / horner(q, d[0], d[1], d[2], d[3], 1)
 	}
 
 	// One Halley refinement step.
 	e := NormalCDF(x) - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x -= u / (1 + x*u/2)
+	x -= u / (1 + float64(x*u/2))
 	return x
 }
 
@@ -89,7 +86,7 @@ func ZExact(confidence float64) float64 {
 	if confidence <= 0 || confidence >= 1 {
 		panic(fmt.Sprintf("stats: confidence must be in (0,1), got %v", confidence))
 	}
-	return NormalQuantile(0.5 + confidence/2)
+	return NormalQuantile(0.5 + float64(confidence/2))
 }
 
 // ZRounded returns the conventional rounded two-sided normal quantile
@@ -113,3 +110,14 @@ func ZRounded(confidence float64) float64 {
 }
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+// horner evaluates the polynomial c[0]·x^(n−1) + … + c[n−1] in Horner
+// form, rounding every product so that no platform fuses it into a
+// multiply-add: the bits are those of the plain expression on amd64.
+func horner(x float64, c ...float64) float64 {
+	v := c[0]
+	for _, ci := range c[1:] {
+		v = float64(v*x) + ci
+	}
+	return v
+}

@@ -208,14 +208,14 @@ func Combine(parts []ProportionEstimate) ProportionEstimate {
 	for _, p := range parts {
 		totalN += p.PopulationSize
 		totalSamples += p.SampleSize
-		weighted += p.PHat() * float64(p.PopulationSize)
+		weighted += float64(p.PHat() * float64(p.PopulationSize))
 	}
 	if totalN == 0 {
 		return ProportionEstimate{}
 	}
 	pHat := weighted / float64(totalN)
 	return ProportionEstimate{
-		Successes:      int64(pHat*float64(totalSamples) + 0.5),
+		Successes:      int64(float64(pHat*float64(totalSamples)) + 0.5),
 		SampleSize:     totalSamples,
 		PopulationSize: totalN,
 	}

@@ -48,7 +48,7 @@ func (s Stratified) PHat() float64 {
 	}
 	var weighted float64
 	for _, p := range s.Parts {
-		weighted += p.PHat() * float64(p.PopulationSize)
+		weighted += float64(p.PHat() * float64(p.PopulationSize))
 	}
 	return weighted / float64(N)
 }
@@ -72,13 +72,13 @@ func (s Stratified) Margin(c SampleSizeConfig) float64 {
 		case p.SampleSize <= 0:
 			// Unsampled stratum: worst-case variance of its true
 			// proportion.
-			variance += w * w * 0.25
+			variance += float64(w * w * 0.25)
 		case p.SampleSize >= p.PopulationSize:
 			// Exhaustive stratum: no estimation error.
 		default:
 			fpc := (float64(p.PopulationSize) - float64(p.SampleSize)) /
 				(float64(p.PopulationSize) - 1)
-			variance += w * w * strataVariance(p) / float64(p.SampleSize) * fpc
+			variance += float64(w * w * strataVariance(p) / float64(p.SampleSize) * fpc)
 		}
 	}
 	m := c.Z() * math.Sqrt(variance)

@@ -219,7 +219,7 @@ func (t *Trainer) bnBackward(node int, l *nn.BatchNorm2D, in, dout *tensor.Tenso
 		scale := l.Gamma[ci] * inv
 		for i := ci * plane; i < (ci+1)*plane; i++ {
 			xhat := (in.Data[i] - l.Mean[ci]) * inv
-			dgamma[ci] += dout.Data[i] * xhat
+			dgamma[ci] += float32(dout.Data[i] * xhat)
 			dbeta[ci] += dout.Data[i]
 			din.Data[i] = dout.Data[i] * scale
 		}
@@ -238,8 +238,8 @@ func (t *Trainer) linearBackward(node int, l *nn.Linear, in, dout *tensor.Tensor
 		row := l.W[o*l.In : (o+1)*l.In]
 		dwRow := dw[o*l.In : (o+1)*l.In]
 		for i := 0; i < l.In; i++ {
-			dwRow[i] += g * in.Data[i]
-			din.Data[i] += g * row[i]
+			dwRow[i] += float32(g * in.Data[i])
+			din.Data[i] += float32(g * row[i])
 		}
 	}
 	t.update(fmt.Sprintf("n%d.w", node), l.W, dw, float32(t.WeightDecay))
@@ -297,8 +297,8 @@ func (t *Trainer) convBackward(node int, c *nn.Conv2D, in, dout *tensor.Tensor) 
 								continue
 							}
 							gv := doutRow[ox]
-							dwAcc += gv * inRow[ix]
-							dinRow[ix] += gv * wv
+							dwAcc += float32(gv * inRow[ix])
+							dinRow[ix] += float32(gv * wv)
 						}
 					}
 					dw[wOff+ky*c.KW+kx] += dwAcc
@@ -323,8 +323,8 @@ func (t *Trainer) update(key string, param, grad []float32, weightDecay float32)
 	lr := float32(t.LR)
 	mom := float32(t.Momentum)
 	for i := range param {
-		g := grad[i] + weightDecay*param[i]
-		vel[i] = mom*vel[i] - lr*g
+		g := grad[i] + float32(weightDecay*param[i])
+		vel[i] = float32(mom*vel[i]) - float32(lr*g)
 		param[i] += vel[i]
 	}
 }
