@@ -222,10 +222,10 @@ chaos-smoke:
 	[ -n "$$addr" ] || { echo "chaos-smoke: coordinator never came up"; cat "$$tmp/coord.log"; exit 1; }; \
 	"$$tmp/sfid" -addr 127.0.0.1:0 -state-dir "$$tmp/member1" -join "$$addr" \
 		-member-name member1 -heartbeat-interval 200ms -eval-delay 2ms \
-		-progress-interval 16 2>"$$tmp/member1.log" & pids="$$pids $$!"; \
+		2>"$$tmp/member1.log" & pids="$$pids $$!"; \
 	"$$tmp/sfid" -addr 127.0.0.1:0 -state-dir "$$tmp/member2" -join "$$addr" \
 		-member-name member2 -heartbeat-interval 200ms -eval-delay 15ms \
-		-progress-interval 16 2>"$$tmp/member2.log" & pids="$$pids $$!"; \
+		2>"$$tmp/member2.log" & pids="$$pids $$!"; \
 	for i in $$(seq 1 100); do \
 		n=$$("$$tmp/sfictl" -addr "$$addr" members -json 2>/dev/null | grep -c '"alive": true' || true); \
 		[ "$$n" = 2 ] && break; sleep 0.1; \

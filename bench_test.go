@@ -781,7 +781,6 @@ func BenchmarkEngine_TelemetryOn(b *testing.B) {
 			sfi.WithWorkers(1),
 			sfi.WithTrace(sink),
 			sfi.WithProgress(prog),
-			sfi.WithProgressInterval(8192),
 		)
 		if _, err := eng.Execute(ctx, o, plan, int64(i)); err != nil {
 			b.Fatal(err)

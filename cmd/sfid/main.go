@@ -84,8 +84,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	stateDir := fs.String("state-dir", "sfid-state", "state directory: job records, checkpoints, results")
 	workers := fs.Int("workers", 0, "size of the shared worker-token pool (0 = GOMAXPROCS)")
 	maxQueue := fs.Int("max-queue", 64, "pending-queue cap; submissions beyond it get HTTP 429")
-	ckptEvery := fs.Int64("checkpoint-interval", 0, "per-job checkpoint cadence in injections (0 = engine default)")
-	progEvery := fs.Int64("progress-interval", 0, "per-job progress/SSE cadence in injections (0 = engine default)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "max wait for running campaigns to checkpoint on shutdown")
 	coordinator := fs.Bool("coordinator", false, "accept member registrations and federated submissions")
 	memberTimeout := fs.Duration("member-timeout", 10*time.Second, "heartbeat age past which a member counts dead (coordinator)")
@@ -116,12 +114,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *maxQueue <= 0 {
 		return fail("-max-queue must be > 0 (got %d)", *maxQueue)
-	}
-	if *ckptEvery < 0 {
-		return fail("-checkpoint-interval must be >= 0 (got %d)", *ckptEvery)
-	}
-	if *progEvery < 0 {
-		return fail("-progress-interval must be >= 0 (got %d)", *progEvery)
 	}
 	if *drainTimeout <= 0 {
 		return fail("-drain-timeout must be > 0 (got %v)", *drainTimeout)
@@ -168,8 +160,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Dir:              *stateDir,
 		TotalWorkers:     *workers,
 		MaxQueue:         *maxQueue,
-		CheckpointEvery:  *ckptEvery,
-		ProgressEvery:    *progEvery,
 		Coordinator:      *coordinator,
 		MemberTimeout:    *memberTimeout,
 		ScrapeInterval:   *scrapeEvery,

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,8 +56,6 @@ func TestFlagValidation(t *testing.T) {
 		{"empty_addr", []string{"-addr", ""}},
 		{"negative_workers", []string{"-workers", "-1"}},
 		{"zero_max_queue", []string{"-max-queue", "0"}},
-		{"negative_checkpoint_interval", []string{"-checkpoint-interval", "-1"}},
-		{"negative_progress_interval", []string{"-progress-interval", "-1"}},
 		{"zero_drain_timeout", []string{"-drain-timeout", "0s"}},
 		{"join_and_coordinator", []string{"-coordinator", "-join", "http://c:8766"}},
 		{"advertise_without_join", []string{"-advertise", "http://m:8766"}},
@@ -82,6 +81,34 @@ func TestFlagValidation(t *testing.T) {
 			t.Fatalf("exit code = %d, want 2", code)
 		}
 	})
+}
+
+// TestFlagTableMatchesDocs keeps docs/OPERATIONS.md's flag tables in
+// step with the daemon: the flags -h lists must be exactly the
+// | `-flag` | rows there, so a deleted flag cannot linger as
+// documentation and a new one cannot go undocumented.
+func TestFlagTableMatchesDocs(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run(context.Background(), []string{"-h"}, &out, &errOut); code != 2 {
+		t.Fatalf("-h exit code = %d, want 2", code)
+	}
+	flagNames := func(re *regexp.Regexp, text string) []string {
+		var names []string
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			names = append(names, m[1])
+		}
+		slices.Sort(names)
+		return names
+	}
+	usage := flagNames(regexp.MustCompile(`(?m)^  -([\w-]+)`), errOut.String())
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := flagNames(regexp.MustCompile("(?m)^\\| `-([\\w-]+)` \\|"), string(doc))
+	if len(usage) == 0 || !slices.Equal(usage, documented) {
+		t.Errorf("sfid -h lists %v\ndocs/OPERATIONS.md documents %v", usage, documented)
+	}
 }
 
 // syncBuffer lets the test read daemon stderr while run() is still
@@ -117,8 +144,6 @@ func startDaemon(t *testing.T, dir string, extra ...string) (base string, recove
 		done <- run(ctx, append([]string{
 			"-addr", "127.0.0.1:0",
 			"-state-dir", dir,
-			"-checkpoint-interval", "64",
-			"-progress-interval", "64",
 		}, extra...), io.Discard, stderr)
 	}()
 	deadline := time.Now().Add(30 * time.Second)

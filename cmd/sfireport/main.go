@@ -42,6 +42,10 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *topBits < 0 {
+		fmt.Fprintf(stderr, "sfireport: -top-bits must be >= 0 (got %d)\n", *topBits)
+		return 1
+	}
 
 	if *runFresh {
 		if err := runAndSave(*model, *seed, *oracleSeed, *in); err != nil {

@@ -132,6 +132,7 @@ func TestCLIFlagValidation(t *testing.T) {
 	}{
 		{"missing_input", []string{"-in", filepath.Join(t.TempDir(), "nosuch.json")}, "no such file"},
 		{"run_unknown_model", []string{"-run", "-model", "nosuch", "-in", filepath.Join(t.TempDir(), "r.json")}, "nosuch"},
+		{"negative_top_bits", []string{"-run", "-in", filepath.Join(t.TempDir(), "r.json"), "-top-bits", "-1"}, "-top-bits must be >= 0 (got -1)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

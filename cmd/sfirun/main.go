@@ -446,7 +446,7 @@ func printTraceSummary(w io.Writer, path string) {
 }
 
 // progressPrinter renders streaming engine events as stderr lines, one
-// per progress interval plus a final summary carrying the evaluator's
+// per shard-grid spacing of tallied draws plus a final summary carrying the evaluator's
 // experiment breakdown (masked skips, evaluations, early exits, arena
 // bytes).
 func progressPrinter(w io.Writer, name string) sfi.ProgressSink {

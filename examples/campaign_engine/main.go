@@ -34,12 +34,12 @@ func main() {
 	const seed, workers = 7, 4
 
 	// 1. Streaming progress + early stop. Progress sinks run on the
-	//    engine's dispatcher goroutine every WithProgressInterval merged
-	//    injections, so a sink that does I/O (like this printer) is
-	//    decoupled through sfi.AsyncSink: events are handed to a
-	//    drain goroutine through a small buffer, interior events are
-	//    dropped rather than ever blocking the dispatcher, and the final
-	//    event is always delivered. WithEarlyStop(0.02) halts each
+	//    engine's dispatcher goroutine each time one shard-grid spacing
+	//    of injections has merged, so a sink that does I/O (like this
+	//    printer) is decoupled through sfi.AsyncSink: events are handed
+	//    to a drain goroutine through a small buffer, interior events
+	//    are dropped rather than ever blocking the dispatcher, and the
+	//    final event is always delivered. WithEarlyStop(0.02) halts each
 	//    stratum as soon as its achieved margin (Eq. 3 inverted at the
 	//    observed proportion) reaches 2%, reporting the actual sample
 	//    size next to the plan's.
@@ -51,7 +51,6 @@ func main() {
 	}, 64)
 	eng := sfi.NewEngine(
 		sfi.WithWorkers(workers),
-		sfi.WithProgressInterval(8192),
 		sfi.WithProgress(progress),
 		sfi.WithEarlyStop(0.02),
 	)
@@ -88,7 +87,6 @@ func main() {
 	partial, err := sfi.NewEngine(
 		sfi.WithWorkers(workers),
 		sfi.WithCheckpoint(ckpt),
-		sfi.WithProgressInterval(4096),
 		sfi.WithProgress(func(p sfi.Progress) {
 			if p.Done >= plan.TotalInjections()/3 {
 				once.Do(cancel)

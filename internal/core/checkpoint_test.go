@@ -14,14 +14,24 @@ import (
 	"cnnsfi/internal/oracle"
 )
 
+// checkpointEveryMerge lowers checkpointPeriod to zero for the rest of
+// the test, so every merged shard writes a periodic checkpoint.
+func checkpointEveryMerge(t *testing.T) {
+	t.Helper()
+	old := checkpointPeriod
+	checkpointPeriod = 0
+	t.Cleanup(func() { checkpointPeriod = old })
+}
+
 // interruptWithCheckpoints cancels a checkpointed campaign halfway
 // through and requires that both checkpoint generations (primary and
 // rotated .bak) were left behind for the recovery tests to chew on.
 func interruptWithCheckpoints(t *testing.T, o *oracle.Oracle, plan *Plan, seed int64, workers int, ckpt string) {
 	t.Helper()
+	checkpointEveryMerge(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := append(interruptAfter(cancel, plan.TotalInjections()/2),
-		WithWorkers(workers), WithCheckpoint(ckpt), WithCheckpointInterval(64))
+		WithWorkers(workers), WithCheckpoint(ckpt))
 	if _, err := NewEngine(opts...).Execute(ctx, o, plan, seed); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupt: %v", err)
 	}
@@ -30,6 +40,38 @@ func interruptWithCheckpoints(t *testing.T, o *oracle.Oracle, plan *Plan, seed i
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("interrupted campaign left no %s: %v", p, err)
 		}
+	}
+}
+
+// TestCheckpointPeriod: periodic checkpoints follow the wall clock, so
+// a campaign far shorter than checkpointPeriod writes only its on-abort
+// checkpoint and leaves no backup. (With the period lowered, the
+// recovery tests' interruptWithCheckpoints requires both generations.)
+func TestCheckpointPeriod(t *testing.T) {
+	o, _ := smallOracle(t)
+	_, lw, _, _ := allApproachPlans(t)
+	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	writes := 0
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := append(interruptAfter(cancel, lw.TotalInjections()/2),
+		WithWorkers(2), WithCheckpoint(ckpt),
+		WithTrace(func(ev TraceEvent) {
+			if ev.Kind == TraceCheckpoint {
+				writes++
+			}
+		}))
+	if _, err := NewEngine(opts...).Execute(ctx, o, lw, 7); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupt: %v", err)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("interrupted campaign left no checkpoint: %v", err)
+	}
+	if writes != 1 {
+		t.Errorf("%d checkpoint writes, want only the on-abort one", writes)
+	}
+	if _, err := os.Stat(ckpt + checkpointBackupSuffix); !os.IsNotExist(err) {
+		t.Errorf("a single write left a backup: %v", err)
 	}
 }
 
@@ -260,7 +302,7 @@ func TestCheckpointQuarantineRoundTrip(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := append(interruptAfter(cancel, lw.TotalInjections()/2),
 		WithWorkers(workers), WithMaxRetries(retries),
-		WithCheckpoint(ckpt), WithCheckpointInterval(64))
+		WithCheckpoint(ckpt))
 	if _, err := NewEngine(opts...).Execute(ctx, newEv(), lw, seed); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupt: %v", err)
 	}

@@ -54,7 +54,6 @@ func TestEngineMatchesRun(t *testing.T) {
 func interruptAfter(cancel context.CancelFunc, n int64) []Option {
 	var once sync.Once
 	return []Option{
-		WithProgressInterval(64),
 		WithProgress(func(p Progress) {
 			if p.Done >= n && !p.Final {
 				once.Do(cancel)
@@ -98,7 +97,7 @@ func TestEngineCheckpointResumeBitIdentity(t *testing.T) {
 		ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 		ctx, cancel := context.WithCancel(context.Background())
 		ev := &cancellingEvaluator{Evaluator: o, n: plan.TotalInjections() / 3, cancel: cancel}
-		partial, err := NewEngine(WithWorkers(workers), WithCheckpoint(ckpt), WithCheckpointInterval(128)).
+		partial, err := NewEngine(WithWorkers(workers), WithCheckpoint(ckpt)).
 			Execute(ctx, ev, plan, seed)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -142,7 +141,7 @@ func TestEngineResumeSkipsTalliedWork(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	ev := &cancellingEvaluator{Evaluator: o, n: lw.TotalInjections() / 2, cancel: cancel}
-	partial, err := NewEngine(WithWorkers(workers), WithCheckpoint(ckpt), WithCheckpointInterval(64)).
+	partial, err := NewEngine(WithWorkers(workers), WithCheckpoint(ckpt)).
 		Execute(ctx, ev, lw, seed)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
@@ -332,7 +331,7 @@ func TestEngineResumeRejectsMismatch(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := append(interruptAfter(cancel, lw.TotalInjections()/2),
-		WithWorkers(2), WithCheckpoint(ckpt), WithCheckpointInterval(64))
+		WithWorkers(2), WithCheckpoint(ckpt))
 	if _, err := NewEngine(opts...).Execute(ctx, o, lw, 7); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupt: %v", err)
 	}
@@ -354,7 +353,7 @@ func TestEngineProgressEvents(t *testing.T) {
 	o, _ := smallOracle(t)
 	_, lw, _, _ := allApproachPlans(t)
 	var events []Progress
-	eng := NewEngine(WithWorkers(2), WithProgressInterval(256),
+	eng := NewEngine(WithWorkers(2),
 		WithProgress(func(p Progress) { events = append(events, p) }))
 	res, err := eng.Execute(context.Background(), o, lw, 1)
 	if err != nil {
@@ -382,6 +381,39 @@ func TestEngineProgressEvents(t *testing.T) {
 	}
 	if last.Critical != sumSuccesses(res) {
 		t.Errorf("final event Critical=%d, result has %d", last.Critical, sumSuccesses(res))
+	}
+}
+
+// TestProgressAtGridCadence: progress comes every grid spacing of
+// tallied draws, so a campaign far below 10,000 draws reports while it
+// runs. At one worker a 658-draw plan on a 16-draw grid must emit at
+// least N/(2g) interior events (a stratum's last shard may be short, so
+// an event can take two shards) and exactly one final event.
+func TestProgressAtGridCadence(t *testing.T) {
+	o, _ := smallOracle(t)
+	cfg := stats.DefaultConfig()
+	cfg.ErrorMargin = 0.1
+	plan := PlanLayerWise(o.Space(), cfg)
+	n, g := plan.TotalInjections(), shardGrid(plan)
+	if n >= 10_000 || g*minGridCells > n {
+		t.Fatalf("plan of %d draws on grid %d; the test needs a small plan cut into %d cells", n, g, minGridCells)
+	}
+	var interior, final int64
+	eng := NewEngine(WithWorkers(1), WithProgress(func(p Progress) {
+		if p.Final {
+			final++
+		} else {
+			interior++
+		}
+	}))
+	if _, err := eng.Execute(context.Background(), o, plan, 1); err != nil {
+		t.Fatal(err)
+	}
+	if final != 1 {
+		t.Errorf("%d final events, want 1", final)
+	}
+	if want := n / (2 * g); interior < want {
+		t.Errorf("%d interior progress events for %d draws on grid %d, want at least %d", interior, n, g, want)
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 
 // Progress is one streaming status event of a running campaign. Events
 // are emitted by the Engine from its dispatcher goroutine — never
-// concurrently — every WithProgressInterval tallied injections and once
-// more when the campaign ends (Final). All counts refer to *tallied*
+// concurrently — each time at least one shard-grid spacing of injections
+// (shardGrid: at most 4,096, and at most 1/32 of the plan) has been
+// tallied since the last event, and once more when the campaign ends
+// (Final). All counts refer to *tallied*
 // work: the contiguous per-stratum prefixes that have been merged into
 // the running result, i.e. exactly what a checkpoint written at that
 // instant would contain.

@@ -149,7 +149,7 @@ func TestDrawRangeCheckpointResume(t *testing.T) {
 	defer cancel()
 	opts := append([]Option{
 		WithWorkers(2), WithDrawRanges(ranges),
-		WithCheckpoint(ckpt), WithCheckpointInterval(64),
+		WithCheckpoint(ckpt),
 	}, interruptAfter(cancel, 128)...)
 	partial, err := NewEngine(opts...).Execute(ctx, o, lw, 7)
 	if !errors.Is(err, context.Canceled) {

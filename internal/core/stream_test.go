@@ -36,7 +36,8 @@ func earlyStopResult(t *testing.T, ev Evaluator, plan *Plan, ranges []DrawRange,
 	t.Helper()
 	opts := []Option{WithWorkers(workers), WithEarlyStop(0), WithDrawRanges(ranges)}
 	if ckpt != "" {
-		opts = append(opts, WithCheckpoint(ckpt), WithCheckpointInterval(1), WithResume())
+		checkpointEveryMerge(t)
+		opts = append(opts, WithCheckpoint(ckpt), WithResume())
 	}
 	return NewEngine(opts...).Execute(ctx, ev, plan, 5)
 }

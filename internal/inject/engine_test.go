@@ -39,8 +39,7 @@ func TestEngineCheckpointResumeInjector(t *testing.T) {
 		var once sync.Once
 		eng := core.NewEngine(
 			core.WithWorkers(workers),
-			core.WithCheckpoint(ckpt), core.WithCheckpointInterval(64),
-			core.WithProgressInterval(32),
+			core.WithCheckpoint(ckpt),
 			// Cancel at the first progress event: the fast path makes
 			// shards short enough that waiting for a deep cutoff would
 			// race the in-flight completion overrun past the plan total,

@@ -344,13 +344,11 @@ func TestFederatedDegradedWindowResumesAfterCoordinatorRestart(t *testing.T) {
 	dir := t.TempDir()
 	config := func(evals *atomic.Int64, delay time.Duration) service.Config {
 		return service.Config{
-			Dir:             dir,
-			Coordinator:     true,
-			MemberTimeout:   50 * time.Millisecond,
-			FederationPoll:  10 * time.Millisecond,
-			CheckpointEvery: 64,
-			ProgressEvery:   64,
-			BuildEvaluator:  slowBuilder(delay, evals),
+			Dir:            dir,
+			Coordinator:    true,
+			MemberTimeout:  50 * time.Millisecond,
+			FederationPoll: 10 * time.Millisecond,
+			BuildEvaluator: slowBuilder(delay, evals),
 		}
 	}
 
@@ -376,7 +374,7 @@ func TestFederatedDegradedWindowResumesAfterCoordinatorRestart(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the degraded window never passed a checkpoint interval on the coordinator")
+			t.Fatal("the degraded window never reported 64 draws on the coordinator")
 		}
 	}
 	mustShutdown(t, coord1)

@@ -801,10 +801,11 @@ func finishedRate(fed *fedDoc, url string) (float64, bool) {
 // hosts. Equal speeds never qualify, and the lease length keeps a
 // passing slowdown — members sharing a host's CPUs — from buying a
 // duplicate that cannot win by much. A copy that has reported no rate
-// yet is not judged on rate (members report progress only every so
-// many draws), but once its reported progress has not advanced for
-// MemberTimeout — stalled, or unreachable while it heartbeats — its
-// lease has lapsed and it qualifies whatever its last rate said.
+// yet is not judged on rate (a member reports progress once per grid
+// spacing of the plan, so a copy just started has none), but once its
+// reported progress has not advanced for MemberTimeout — stalled, or
+// unreachable while it heartbeats — its lease has lapsed and it
+// qualifies whatever its last rate said.
 func (s *Service) behind(l lease, window int64, idle float64) bool {
 	if time.Since(l.renewed) >= s.cfg.MemberTimeout {
 		return true

@@ -48,14 +48,11 @@ func (n *fedNode) stop(t *testing.T) {
 	mustShutdown(t, n.svc)
 }
 
-// memberConfig is a member daemon's configuration: small progress
-// cadence so tests can observe mid-campaign state promptly.
+// memberConfig is a member daemon's configuration.
 func memberConfig(workers int, build service.EvaluatorBuilder) service.Config {
 	return service.Config{
-		TotalWorkers:    workers,
-		CheckpointEvery: 64,
-		ProgressEvery:   16,
-		BuildEvaluator:  build,
+		TotalWorkers:   workers,
+		BuildEvaluator: build,
 	}
 }
 

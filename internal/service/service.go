@@ -83,11 +83,6 @@ type Config struct {
 	// MaxQueue caps the pending queue (default 64); submissions beyond
 	// it fail with ErrQueueFull.
 	MaxQueue int
-	// CheckpointEvery / ProgressEvery override the engine's per-job
-	// checkpoint and progress cadence (injections; 0 keeps the engine
-	// defaults).
-	CheckpointEvery int64
-	ProgressEvery   int64
 	// Registry receives service and per-campaign metrics; nil creates a
 	// private registry (reachable via Registry()).
 	Registry *telemetry.Registry

@@ -293,13 +293,9 @@ func TestBackpressure(t *testing.T) {
 func TestCancel(t *testing.T) {
 	gate := make(chan struct{})
 	svc, err := service.New(service.Config{
-		Dir:          t.TempDir(),
-		TotalWorkers: 1,
-		// Small shard size so the canceled engine notices promptly after
-		// the gate opens instead of finishing the whole stratum first.
-		CheckpointEvery: 16,
-		ProgressEvery:   16,
-		BuildEvaluator:  gatedBuilder(nil, gate, nil),
+		Dir:            t.TempDir(),
+		TotalWorkers:   1,
+		BuildEvaluator: gatedBuilder(nil, gate, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -393,11 +389,9 @@ func TestShutdownResumesMultiJobWithZeroReEvaluation(t *testing.T) {
 	const jobs = 3
 	var firstEvals atomic.Int64
 	svc, err := service.New(service.Config{
-		Dir:             dir,
-		TotalWorkers:    jobs,
-		CheckpointEvery: 64,
-		ProgressEvery:   64,
-		BuildEvaluator:  slowBuilder(100*time.Microsecond, &firstEvals),
+		Dir:            dir,
+		TotalWorkers:   jobs,
+		BuildEvaluator: slowBuilder(100*time.Microsecond, &firstEvals),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -414,8 +408,7 @@ func TestShutdownResumesMultiJobWithZeroReEvaluation(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
-	// Let every campaign clear at least one checkpoint interval, then
-	// drain mid-flight.
+	// Let every campaign report progress, then drain mid-flight.
 	for _, id := range ids {
 		deadline := time.Now().Add(60 * time.Second)
 		for {
@@ -457,11 +450,9 @@ func TestShutdownResumesMultiJobWithZeroReEvaluation(t *testing.T) {
 	// Second daemon generation: no artificial delay, fresh counter.
 	var secondEvals atomic.Int64
 	svc2, err := service.New(service.Config{
-		Dir:             dir,
-		TotalWorkers:    jobs,
-		CheckpointEvery: 64,
-		ProgressEvery:   64,
-		BuildEvaluator:  slowBuilder(0, &secondEvals),
+		Dir:            dir,
+		TotalWorkers:   jobs,
+		BuildEvaluator: slowBuilder(0, &secondEvals),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -548,13 +539,48 @@ func TestRecoverTerminalJobs(t *testing.T) {
 	}
 }
 
+// TestRangedJobReportsProgressWhileRunning: a member-sized ranged job,
+// far below 10,000 draws, reports tallied draws and a rate while it
+// runs under the default Config, so the fleet view and the backup rule
+// see a running part's pace before it finishes.
+func TestRangedJobReportsProgressWhileRunning(t *testing.T) {
+	var evals atomic.Int64
+	svc, err := service.New(service.Config{
+		Dir:            t.TempDir(),
+		BuildEvaluator: slowBuilder(200*time.Microsecond, &evals),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, svc)
+
+	spec := fullSpec("network-wise", 0.02) // one ~4k-draw stratum
+	spec.Ranges = []core.DrawRange{{From: 1000, To: 3000}}
+	st, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		st, err = svc.Get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == service.StateRunning && st.Done > 0 && st.Rate > 0 {
+			break
+		}
+		if isTerminal(st.State) || time.Now().After(deadline) {
+			t.Fatalf("job %s reached %s with no running progress reported (done %d, rate %v)", st.ID, st.State, st.Done, st.Rate)
+		}
+	}
+	waitState(t, svc, st.ID, service.StateCompleted)
+}
+
 // TestEventStream exercises the SSE endpoint end to end: the snapshot
 // frame, progress events mid-run, and the terminal job_state frame.
 func TestEventStream(t *testing.T) {
 	var evals atomic.Int64
 	svc, err := service.New(service.Config{
-		Dir:           t.TempDir(),
-		ProgressEvery: 16,
+		Dir: t.TempDir(),
 		// Slow the campaign down so the subscription reliably lands while
 		// it is still emitting progress.
 		BuildEvaluator: slowBuilder(200*time.Microsecond, &evals),

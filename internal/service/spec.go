@@ -289,12 +289,6 @@ func (s *Service) engineOptions(j *job, tr *telemetry.Tracer) []core.Option {
 		core.WithProgress(progress),
 		core.WithTrace(trace),
 	}
-	if s.cfg.CheckpointEvery > 0 {
-		opts = append(opts, core.WithCheckpointInterval(s.cfg.CheckpointEvery))
-	}
-	if s.cfg.ProgressEvery > 0 {
-		opts = append(opts, core.WithProgressInterval(s.cfg.ProgressEvery))
-	}
 	if spec.EarlyStop != nil {
 		opts = append(opts, core.WithEarlyStop(*spec.EarlyStop))
 	}

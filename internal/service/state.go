@@ -22,7 +22,8 @@ import (
 //
 // The job record is the scheduler's durable state; the checkpoint is
 // the engine's. Between the two, a killed daemon loses at most the
-// injections evaluated since the last checkpoint interval — and
+// injections evaluated since the last periodic checkpoint (written
+// every 10 s of wall time) — and
 // re-evaluates none of the checkpointed prefix on restart.
 //
 // A coordinator additionally keeps <dir>/members.json (the durable

@@ -31,7 +31,6 @@ func runTraced(t *testing.T, workers int) (*core.Result, string) {
 		core.WithWorkers(workers),
 		core.WithTrace(tr.Sink("smallcnn-lw")),
 		core.WithProgress(tr.Progress("smallcnn-lw")),
-		core.WithProgressInterval(500),
 	)
 	res, err := eng.Execute(context.Background(), o, plan, 42)
 	if err != nil {

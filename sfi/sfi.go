@@ -415,21 +415,15 @@ func WithWorkers(n int) EngineOption { return core.WithWorkers(n) }
 
 // WithProgress installs a streaming progress sink, called synchronously
 // from the engine's dispatcher with per-stratum draws completed, running
-// critical tallies, and injections/sec.
+// critical tallies, and injections/sec, each time a shard-grid spacing
+// of draws (at most 4,096, and at most 1/32 of the plan) has been
+// tallied.
 func WithProgress(sink ProgressSink) EngineOption { return core.WithProgress(sink) }
 
-// WithProgressInterval sets the tallied injections between progress
-// events (default 10,000).
-func WithProgressInterval(n int64) EngineOption { return core.WithProgressInterval(n) }
-
-// WithCheckpoint enables periodic campaign checkpoints at path; an
-// interrupted campaign resumed from the checkpoint (WithResume) yields a
+// WithCheckpoint enables campaign checkpoints at path, written every
+// ten seconds of wall time and on cancellation; an interrupted campaign resumed from the checkpoint (WithResume) yields a
 // Result bit-identical to an uninterrupted run at the same seed.
 func WithCheckpoint(path string) EngineOption { return core.WithCheckpoint(path) }
-
-// WithCheckpointInterval sets the tallied injections between periodic
-// checkpoint writes (default 100,000).
-func WithCheckpointInterval(n int64) EngineOption { return core.WithCheckpointInterval(n) }
 
 // WithResume makes Execute load the WithCheckpoint file before starting
 // (a missing file starts fresh; a mismatched plan or seed is an error).
