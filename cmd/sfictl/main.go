@@ -203,7 +203,6 @@ func (c *client) submit(ctx context.Context, args []string) int {
 	images := fs.Int("images", 8, "evaluation-set size for the inference substrate")
 	workers := fs.Int("workers", 1, "worker count for this campaign, clamped to the daemon's pool (the Result is the same at any count)")
 	priority := fs.Int("priority", 0, "queue priority; higher runs first")
-	earlyStop := fs.Float64("early-stop", -1, "stop each stratum at this achieved margin (0 = the requested margin; negative = disabled)")
 	expTimeout := fs.Duration("experiment-timeout", 0, "per-experiment watchdog deadline (0 = none)")
 	maxRetries := fs.Int("max-retries", -1, "retries per failing experiment before quarantine; negative disables supervision")
 	federated := fs.Bool("federated", false, "run across the coordinator's member fleet (merged Result is byte-identical to a single-node run)")
@@ -225,9 +224,6 @@ func (c *client) submit(ctx context.Context, args []string) int {
 		Priority:            *priority,
 		ExperimentTimeoutMS: expTimeout.Milliseconds(),
 		Federated:           *federated,
-	}
-	if *earlyStop >= 0 {
-		spec.EarlyStop = earlyStop
 	}
 	if *maxRetries >= 0 {
 		spec.MaxRetries = maxRetries

@@ -20,9 +20,8 @@
 // the exact Result an uninterrupted run would have produced. -progress streams per-stratum
 // completion, running critical tallies, injections/sec, and the
 // evaluator's experiment breakdown (masked-fault skips vs full
-// evaluations, SDC early exits, scratch-arena bytes) to stderr;
-// -early-stop halts each stratum once its achieved margin (Eq. 3
-// inverted at the observed proportion) reaches the target.
+// evaluations, SDC early exits, scratch-arena bytes) to stderr. Every
+// stratum evaluates its whole planned (Eq. 1) sample.
 package main
 
 import (
@@ -80,7 +79,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	checkpoint := fs.String("checkpoint", "", "checkpoint path prefix; campaigns persist per-stratum tallies there (one file per approach)")
 	resume := fs.Bool("resume", false, "resume campaigns from existing -checkpoint files")
 	timeout := fs.Duration("timeout", 0, "abort campaigns after this duration (0 = none); with -checkpoint, progress is preserved")
-	earlyStop := fs.Float64("early-stop", -1, "stop each stratum at this achieved margin (0 = the requested -margin; negative = disabled)")
 	expTimeout := fs.Duration("experiment-timeout", 0, "per-experiment watchdog deadline (0 = none); a timed-out experiment is retried under -max-retries, then quarantined")
 	maxRetries := fs.Int("max-retries", -1, "retries per failing (panicking or timed-out) experiment before quarantine; negative disables campaign supervision entirely")
 	traceFile := fs.String("trace", "", "record structured campaign trace events (JSONL) to this file; replay with sfitrace")
@@ -103,9 +101,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *confidence <= 0 || *confidence >= 1 {
 		return fail("-confidence must be inside (0,1) (got %v); the paper uses 0.99", *confidence)
-	}
-	if *earlyStop >= 1 {
-		return fail("-early-stop must be below 1 (got %v); it is an error margin, not a percentage", *earlyStop)
 	}
 	if *resume && *checkpoint == "" {
 		return fail("-resume needs -checkpoint to know where the saved campaign lives")
@@ -269,9 +264,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if len(sinks) > 0 {
 			opts = append(opts, sfi.WithProgress(composeSinks(sinks)))
 		}
-		if *earlyStop >= 0 {
-			opts = append(opts, sfi.WithEarlyStop(*earlyStop))
-		}
 		res, err := sfi.NewEngine(opts...).Execute(ctx, ev, plan, seed)
 		if err != nil {
 			if res != nil && res.Partial {
@@ -292,10 +284,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if n := len(res.Quarantined); n > 0 {
 			fmt.Fprintf(stderr, "sfirun: %s: %d draw(s) quarantined after exhausting retries — excluded from the tally; per-stratum margins are over the reduced n\n",
 				name, n)
-		}
-		if n := len(res.EarlyStopped); n > 0 {
-			fmt.Fprintf(stderr, "sfirun: %s: early stop halted %d/%d strata (%s of %s planned injections)\n",
-				name, n, len(plan.Subpops), report.Comma(res.Injections()), report.Comma(plan.TotalInjections()))
 		}
 		return res, nil
 	}

@@ -55,7 +55,6 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"negative_workers", []string{"-workers", "-1"}},
 		{"margin_out_of_range", []string{"-margin", "2"}},
 		{"confidence_out_of_range", []string{"-confidence", "0"}},
-		{"early_stop_not_a_margin", []string{"-early-stop", "1.5"}},
 		{"resume_without_checkpoint", []string{"-resume"}},
 		{"negative_timeout", []string{"-timeout", "-1s"}},
 		{"zero_images", []string{"-images", "0"}},

@@ -1,8 +1,8 @@
 // Campaign engine tour: execute a layer-wise campaign through
-// sfi.NewEngine with streaming progress and margin-based early stop,
-// then demonstrate the checkpoint/resume guarantee — a campaign
-// interrupted mid-run and resumed, at a different worker count, ends in
-// a Result byte-identical to the uninterrupted run at the same seed.
+// sfi.NewEngine with streaming progress, then demonstrate the
+// checkpoint/resume guarantee — a campaign interrupted mid-run and
+// resumed, at a different worker count, ends in a Result byte-identical
+// to the uninterrupted run at the same seed.
 //
 // Run with:
 //
@@ -33,16 +33,15 @@ func main() {
 	o := sfi.NewOracle(net, sfi.OracleDefaults(3))
 	const seed, workers = 7, 4
 
-	// 1. Streaming progress + early stop. Progress sinks run on the
-	//    engine's dispatcher goroutine each time one shard-grid spacing
-	//    of injections has merged, so a sink that does I/O (like this
+	// 1. Streaming progress. Progress sinks run on the engine's
+	//    dispatcher goroutine each time one shard-grid spacing of
+	//    injections has merged, so a sink that does I/O (like this
 	//    printer) is decoupled through sfi.AsyncSink: events are handed
 	//    to a drain goroutine through a small buffer, interior events
 	//    are dropped rather than ever blocking the dispatcher, and the
-	//    final event is always delivered. WithEarlyStop(0.02) halts each
-	//    stratum as soon as its achieved margin (Eq. 3 inverted at the
-	//    observed proportion) reaches 2%, reporting the actual sample
-	//    size next to the plan's.
+	//    final event is always delivered. Every stratum evaluates its
+	//    whole planned sample, so each per-layer estimate carries the
+	//    margin the plan was sized for.
 	fmt.Printf("layer-wise plan: %d strata, %d injections\n\n",
 		len(plan.Subpops), plan.TotalInjections())
 	progress, stopProgress := sfi.AsyncSink(func(p sfi.Progress) {
@@ -52,20 +51,13 @@ func main() {
 	eng := sfi.NewEngine(
 		sfi.WithWorkers(workers),
 		sfi.WithProgress(progress),
-		sfi.WithEarlyStop(0.02),
 	)
 	res, err := eng.Execute(context.Background(), o, plan, seed)
 	stopProgress() // drain buffered progress lines before printing the tally
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nearly stop halted %d/%d strata:\n", len(res.EarlyStopped), len(plan.Subpops))
-	for _, i := range res.EarlyStopped {
-		est := res.Estimates[i]
-		fmt.Printf("  stratum %d (layer %d): n=%d of planned %d, margin %.4f\n",
-			i, plan.Subpops[i].Layer, est.SampleSize, plan.Subpops[i].SampleSize,
-			cfg.ObservedMargin(est.PHat(), est.SampleSize, est.PopulationSize))
-	}
+	fmt.Printf("\ncompleted %d/%d injections\n", res.Injections(), plan.TotalInjections())
 
 	// 2. Checkpoint/resume bit-identity. Reference: the uninterrupted
 	//    run at the same seed. Shards are cut on the plan's draw grid,

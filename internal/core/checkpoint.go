@@ -66,7 +66,6 @@ var (
 type checkpointStratum struct {
 	Cursor    int64                            `json:"cursor"`
 	Successes int64                            `json:"successes"`
-	Stopped   bool                             `json:"stopped,omitempty"`
 	PerLayer  map[int]stats.ProportionEstimate `json:"per_layer,omitempty"`
 }
 
@@ -131,7 +130,7 @@ func (x *execution) writeCheckpoint(path string) error {
 		Strata:      make([]checkpointStratum, len(x.strata)),
 	}
 	for i, st := range x.strata {
-		cs := checkpointStratum{Cursor: st.cursor, Successes: st.successes, Stopped: st.stopped}
+		cs := checkpointStratum{Cursor: st.cursor, Successes: st.successes}
 		if len(st.perLayer) > 0 {
 			cs.PerLayer = make(map[int]stats.ProportionEstimate, len(st.perLayer))
 			for l, pl := range st.perLayer {
@@ -346,7 +345,6 @@ func (x *execution) applyCheckpoint(src string, doc *checkpointDoc) error {
 		st := x.strata[i]
 		st.cursor = cs.Cursor
 		st.successes = cs.Successes
-		st.stopped = cs.Stopped
 		if len(cs.PerLayer) > 0 && st.perLayer == nil {
 			st.perLayer = make(map[int]*stats.ProportionEstimate, len(cs.PerLayer))
 		}

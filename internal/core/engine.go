@@ -18,8 +18,10 @@ import (
 // (draw → decode → evaluate → tally) behind a functional-options
 // configuration, with the operational affordances long campaigns need —
 // cooperative cancellation through context.Context, streaming progress
-// events, checkpoint/resume, and margin-based early stop. Run and
-// RunParallel are thin compatibility wrappers over it.
+// events, checkpoint/resume, and supervision. Run and RunParallel are
+// thin compatibility wrappers over it. Every stratum evaluates exactly
+// its planned (Eq. 1) sample, so the error margin the plan was sized for
+// holds.
 //
 // Determinism guarantee (the anchor every feature preserves): one
 // generator seeded with seed draws every stratum's sample in plan order,
@@ -27,24 +29,21 @@ import (
 // the plan alone (shardGrid), and per-shard tallies are merged strictly
 // in draw order — so a Result is a pure function of (plan, seed),
 // bit-identical across worker counts and across interrupt/resume
-// cycles, with or without early stop. The draw streams: each shard is
-// handed to the workers as soon as it is drawn, into one of a few
-// recycled buffers, so drawing overlaps evaluation and the draw's memory
-// scales with the worker count rather than with the plan.
+// cycles. The draw streams: each shard is handed to the workers as soon
+// as it is drawn, into one of a few recycled buffers, so drawing
+// overlaps evaluation and the draw's memory scales with the worker count
+// rather than with the plan.
 //
 // An Engine is immutable after NewEngine and safe to reuse across
 // Execute calls (each call keeps its own run state), but two concurrent
 // Execute calls sharing one checkpoint path would race on the file.
 type Engine struct {
-	workers         int
-	progress        ProgressSink
-	checkpointPath  string
-	resume          bool
-	earlyStop       bool
-	earlyStopTarget float64
-	validate        bool
-	ranges          []DrawRange
-	trace           TraceSink
+	workers        int
+	progress       ProgressSink
+	checkpointPath string
+	resume         bool
+	ranges         []DrawRange
+	trace          TraceSink
 
 	// Supervision (see supervise.go): expTimeout > 0 or maxRetries >= 0
 	// enables per-experiment panic isolation, the watchdog, bounded
@@ -93,40 +92,11 @@ var checkpointPeriod = 10 * time.Second
 // or seed; a missing file starts a fresh campaign.
 func WithResume() Option { return func(e *Engine) { e.resume = true } }
 
-// WithEarlyStop enables margin-based early stopping: a stratum halts as
-// soon as its achieved margin — the Eq. 3 inversion evaluated at the
-// observed proportion (stats.ObservedMargin) — reaches target, with the
-// actual sample size reported in the Result's Estimates alongside the
-// planned one in Plan.Subpops. target 0 uses the plan's requested
-// ErrorMargin. At least earlyStopMinSample draws are always evaluated
-// per stratum so the normal approximation behind Eq. 3 is defensible.
-//
-// The stop rule is checked only at the plan's shard-grid points, on each
-// stratum's tallied prefix, so an early-stopped Result is a pure
-// function of (plan, seed): the same at every worker count and across
-// interrupt/resume.
-func WithEarlyStop(target float64) Option {
-	return func(e *Engine) { e.earlyStop = true; e.earlyStopTarget = target }
-}
-
-// WithDecodeValidation switches the defensive fault-decode cross-check
-// on or off explicitly, overriding the SFI_VALIDATE_DECODE environment
-// gate (which remains the process-wide default fallback).
-func WithDecodeValidation(on bool) Option { return func(e *Engine) { e.validate = on } }
-
-// earlyStopMinSample is the minimum evaluated sample size before the
-// early-stop rule may fire: below ~30 draws the normal approximation
-// underlying the Eq. 3 margin is not meaningful (a stratum whose first
-// few draws happen to be benign would otherwise stop instantly at an
-// observed margin of zero).
-const earlyStopMinSample = 30
-
 // NewEngine builds an engine; defaults are GOMAXPROCS workers, no
-// progress sink, no checkpointing, no early stop, and decode validation
-// taken from the SFI_VALIDATE_DECODE environment variable.
+// progress sink and no checkpointing. Decode validation follows the
+// SFI_VALIDATE_DECODE environment variable (validateDecode).
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
-		validate:   validateDecode,
 		maxRetries: -1, // supervision off
 	}
 	for _, o := range opts {
@@ -137,13 +107,11 @@ func NewEngine(opts ...Option) *Engine {
 
 // stratumState is one stratum's running tally: the contiguous prefix of
 // its drawn sample that has been evaluated and merged (cursor draws,
-// successes criticals), plus the per-layer slices for global strata and
-// the early-stop flag.
+// successes criticals), plus the per-layer slices for global strata.
 type stratumState struct {
 	cursor    int64
 	successes int64
 	perLayer  map[int]*stats.ProportionEstimate
-	stopped   bool
 	// quarantined counts draws within cursor that were excluded from
 	// the tally by supervision; the stratum's effective sample size is
 	// cursor - quarantined.
@@ -214,20 +182,13 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 	if plan == nil {
 		return nil, fmt.Errorf("core: engine: nil plan")
 	}
-	if e.earlyStop {
-		if err := plan.Config.Validate(); err != nil {
-			return nil, fmt.Errorf("core: engine: early stop needs a valid plan config: %w", err)
-		}
-		if e.earlyStopTarget < 0 || e.earlyStopTarget >= 1 {
-			return nil, fmt.Errorf("core: engine: early-stop target %v outside [0, 1)", e.earlyStopTarget)
-		}
-	}
 	if e.expTimeout < 0 {
 		return nil, fmt.Errorf("core: engine: negative experiment timeout %v", e.expTimeout)
 	}
 	if err := validateRanges(e.ranges, plan); err != nil {
 		return nil, err
 	}
+	validate := validateDecode
 	workers := e.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -273,13 +234,10 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 	// The determinism anchor: one generator draws every stratum's sample
 	// in plan order, cut on the plan's shard grid, while the workers
 	// evaluate what is already drawn. Checkpointed strata resume at their
-	// cursor, and strata stopped before the checkpoint yield no shards.
+	// cursor.
 	first := make([]int64, len(plan.Subpops))
 	for i, st := range x.strata {
 		first[i] = st.cursor
-		if st.stopped {
-			_, first[i] = x.rangeBounds(i)
-		}
 	}
 	x.pending = make([][]*shard, len(plan.Subpops))
 	if e.trace != nil {
@@ -354,9 +312,9 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 				}
 				t0 := time.Now()
 				if sw != nil {
-					sw.evaluateShard(s, x.space, plan, e.validate)
+					sw.evaluateShard(s, x.space, plan, validate)
 				} else {
-					s.evaluate(ev, x.space, plan, e.validate)
+					s.evaluate(ev, x.space, plan, validate)
 				}
 				results <- completion{shard: s, evaluated: true, worker: w, dur: time.Since(t0)}
 			}
@@ -364,7 +322,7 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 	}
 
 	// Dispatch loop: one goroutine owns all bookkeeping (prefix merge,
-	// early stop, checkpoints, progress, the free list), so none of it
+	// checkpoints, progress, the free list), so none of it
 	// needs locks. It holds at most one drawn shard (next) while waiting
 	// for a worker, so the generator runs ahead by the free buffers only.
 	var runErr error
@@ -373,10 +331,6 @@ func (e *Engine) Execute(ctx context.Context, ev Evaluator, plan *Plan, seed int
 	var next *shard
 	inFlight := 0
 	for {
-		if next != nil && x.strata[next.stratum].stopped {
-			free <- next.idx
-			next = nil
-		}
 		var jobCh chan *shard
 		var drawnCh <-chan *shard
 		if !aborted && (next != nil || drawn != nil) {
@@ -474,7 +428,6 @@ func (x *execution) traceCampaignEnd(res *Result) {
 		ev.Critical = x.critical
 		ev.Planned = x.plannedInjections()
 		ev.Partial = res.Partial
-		ev.EarlyStopped = len(res.EarlyStopped)
 		ev.Retries = x.retries
 		ev.Quarantined = int64(len(x.quarantined))
 		ev.Eval = x.evalSnapshot()
@@ -485,19 +438,14 @@ func (x *execution) traceCampaignEnd(res *Result) {
 }
 
 // handleCompletion records an evaluated shard and merges the stratum's
-// contiguous completed prefix, in draw order, checking the early-stop
-// rule at every merged boundary — a grid point, or the window's end.
-// Tallies of shards evaluated beyond an early-stop cut are discarded, so
-// the reported actual-n is always the same deterministic prefix.
+// contiguous completed prefix, in draw order.
 func (x *execution) handleCompletion(s *shard) {
 	s.done = true
 	i := s.stratum
-	st := x.strata[i]
 	q := x.pending[i]
-	for !st.stopped && len(q) > 0 && q[0].done {
+	for len(q) > 0 && q[0].done {
 		x.mergeShard(q[0])
 		q = q[1:]
-		x.checkEarlyStop(i)
 	}
 	x.pending[i] = q
 	x.traceStratumEnd(i)
@@ -557,41 +505,6 @@ func (x *execution) mergeShard(s *shard) {
 	x.abandoned += s.abandoned
 	x.sinceProgress += n
 	x.lastStratum = s.stratum
-}
-
-// checkEarlyStop halts stratum i once the margin achieved by its tallied
-// prefix (Eq. 3 inverted at the observed proportion) reaches the target.
-func (x *execution) checkEarlyStop(i int) {
-	e := x.engine
-	if !e.earlyStop {
-		return
-	}
-	st := x.strata[i]
-	sub := x.plan.Subpops[i]
-	from, to := x.rangeBounds(i)
-	// eff is the effective sample size: quarantined draws carry no
-	// verdict, so both the stop rule and the reported margin run over
-	// the reduced n. A ranged run stops on its window-local prefix (the
-	// stop rule stays a pure function of the window's tallied prefix at
-	// grid points, so it is deterministic per range).
-	eff := st.cursor - from - st.quarantined
-	if st.stopped || eff < earlyStopMinSample || st.cursor >= to {
-		return
-	}
-	target := e.earlyStopTarget
-	if target == 0 {
-		target = x.plan.Config.ErrorMargin
-	}
-	pHat := float64(st.successes) / float64(eff)
-	if m := x.plan.Config.ObservedMargin(pHat, eff, sub.Population); m <= target {
-		st.stopped = true
-		x.emitTrace(TraceEarlyStop, func(ev *TraceEvent) {
-			ev.Stratum = i
-			ev.Done = eff
-			ev.Critical = st.successes
-			ev.Margin = m
-		})
-	}
 }
 
 // housekeeping emits a progress event once a grid spacing of draws has
@@ -669,9 +582,6 @@ func (x *execution) assemble(aborted bool) *Result {
 			PopulationSize: sub.Population,
 			PlannedP:       sub.P,
 		})
-		if st.stopped {
-			res.EarlyStopped = append(res.EarlyStopped, i)
-		}
 		if sub.Layer < 0 {
 			if res.LayerSlices == nil {
 				res.LayerSlices = make(map[int]stats.ProportionEstimate)
@@ -723,13 +633,13 @@ func (x *execution) warnf(format string, args ...any) {
 // sample is cut at: a shard covers [k·g, (k+1)·g) of its stratum's
 // draws, clipped to the stratum's draw window, for the plan's grid
 // spacing g (shardGrid). The grid depends on the plan alone, so shard
-// boundaries — which are also where early stop is decided and where
-// checkpoint cursors sit — are the same at every worker count.
+// boundaries — which are also where checkpoint cursors sit — are the
+// same at every worker count.
 const (
 	// maxShardGrid caps the spacing, chosen by measurement on oracle
 	// campaigns (EXPERIMENTS.md, "Campaign engine overhead"): smaller
 	// shards pay more per-shard dispatch, larger ones hold more draw
-	// memory and decide early stop less often.
+	// memory.
 	maxShardGrid = 4096
 	// minGridCells is how many shards a plan is cut into at least (when
 	// it has that many draws): enough for small plans of slow inference
@@ -866,8 +776,7 @@ func (s *shard) tally(space faultmodel.Space, sub Subpopulation, f faultmodel.Fa
 }
 
 // decodeShardFault maps a stratum-local index to a concrete fault,
-// validating the decode when requested (WithDecodeValidation, or the
-// SFI_VALIDATE_DECODE environment fallback).
+// validating the decode when requested (SFI_VALIDATE_DECODE).
 func decodeShardFault(space faultmodel.Space, sub Subpopulation, j int64, validate bool) faultmodel.Fault {
 	if validate {
 		f, err := decodeFaultChecked(space, sub, j)

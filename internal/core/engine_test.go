@@ -27,8 +27,8 @@ func resultBytes(t *testing.T, r *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestEngineMatchesRun: a plain engine run (no checkpoint, no early
-// stop) must be bit-identical to the classic Run for every approach and
+// TestEngineMatchesRun: a plain engine run (no checkpoint) must be
+// bit-identical to the classic Run for every approach and
 // worker count — the wrappers and the explicit API share one pipeline.
 func TestEngineMatchesRun(t *testing.T) {
 	o, _ := smallOracle(t)
@@ -42,8 +42,8 @@ func TestEngineMatchesRun(t *testing.T) {
 				t.Fatalf("%s workers=%d: %v", plan.Approach, workers, err)
 			}
 			requireSameResult(t, plan.Approach.String(), want, got)
-			if got.Partial || len(got.EarlyStopped) != 0 {
-				t.Fatalf("%s: complete run marked partial/early-stopped", plan.Approach)
+			if got.Partial {
+				t.Fatalf("%s: complete run marked partial", plan.Approach)
 			}
 		}
 	}
@@ -229,98 +229,6 @@ func TestEngineCancelJoinsWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineEarlyStop: the margin-based early stop must (a) actually
-// fire on strata whose observed criticality is far from the pessimistic
-// planning p, (b) never stop before the achieved margin meets the
-// target, and (c) stay deterministic at a fixed worker count.
-func TestEngineEarlyStop(t *testing.T) {
-	o, _ := smallOracle(t)
-	_, lw, _, _ := allApproachPlans(t)
-	cfg := lw.Config
-
-	eng := NewEngine(WithWorkers(2), WithEarlyStop(0)) // target = plan's e
-	res, err := eng.Execute(context.Background(), o, lw, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.EarlyStopped) == 0 {
-		t.Fatal("no stratum early-stopped; the oracle's low critical rates should beat the p=0.5 plan")
-	}
-	if res.Injections() >= lw.TotalInjections() {
-		t.Error("early stop saved no injections")
-	}
-	stopped := make(map[int]bool, len(res.EarlyStopped))
-	for _, i := range res.EarlyStopped {
-		stopped[i] = true
-	}
-	for i, est := range res.Estimates {
-		sub := lw.Subpops[i]
-		if !stopped[i] {
-			if est.SampleSize != sub.SampleSize {
-				t.Errorf("stratum %d not stopped but n=%d of planned %d", i, est.SampleSize, sub.SampleSize)
-			}
-			continue
-		}
-		// Actual-n reported alongside planned-n.
-		if est.SampleSize >= sub.SampleSize || est.SampleSize < earlyStopMinSample {
-			t.Errorf("stratum %d: early-stop n=%d implausible (planned %d)", i, est.SampleSize, sub.SampleSize)
-		}
-		// Soundness: the achieved margin at the stop point meets the target.
-		if m := cfg.ObservedMargin(est.PHat(), est.SampleSize, est.PopulationSize); m > cfg.ErrorMargin {
-			t.Errorf("stratum %d stopped at margin %v > target %v", i, m, cfg.ErrorMargin)
-		}
-	}
-
-	// Determinism: identical configuration ⇒ byte-identical result.
-	again, err := NewEngine(WithWorkers(2), WithEarlyStop(0)).Execute(context.Background(), o, lw, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resultBytes(t, res), resultBytes(t, again)) {
-		t.Error("early-stopped campaign is not deterministic at fixed worker count")
-	}
-
-	// A looser explicit target must stop at or before the stricter one.
-	loose, err := NewEngine(WithWorkers(2), WithEarlyStop(0.05)).Execute(context.Background(), o, lw, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Injections() > res.Injections() {
-		t.Errorf("target 0.05 tallied %d > target %v's %d", loose.Injections(), cfg.ErrorMargin, res.Injections())
-	}
-}
-
-// TestEngineEarlyStopRejectsBadTarget: targets outside [0, 1) fail fast.
-func TestEngineEarlyStopRejectsBadTarget(t *testing.T) {
-	o, _ := smallOracle(t)
-	_, lw, _, _ := allApproachPlans(t)
-	for _, target := range []float64{-0.1, 1, 2} {
-		if _, err := NewEngine(WithEarlyStop(target)).Execute(context.Background(), o, lw, 1); err == nil {
-			t.Errorf("early-stop target %v accepted", target)
-		}
-	}
-}
-
-// TestEngineDecodeValidationOption: WithDecodeValidation must enable the
-// decode cross-check without touching process env, and the check may
-// only verify, never alter the result.
-func TestEngineDecodeValidationOption(t *testing.T) {
-	if validateDecode {
-		t.Skip("SFI_VALIDATE_DECODE set in environment")
-	}
-	o, _ := smallOracle(t)
-	nw, _, _, da := allApproachPlans(t)
-	for _, plan := range []*Plan{nw, da} {
-		want := Run(o, plan, 2)
-		got, err := NewEngine(WithWorkers(4), WithDecodeValidation(true)).
-			Execute(context.Background(), o, plan, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, plan.Approach.String()+"+option-validate", want, got)
-	}
-}
-
 // TestEngineResumeRejectsMismatch: a checkpoint is bound to one exact
 // (plan, seed); resuming anything else must fail loudly instead of
 // silently producing statistics from mixed campaigns.
@@ -425,14 +333,17 @@ func sumSuccesses(r *Result) int64 {
 	return total
 }
 
-// TestEngineSerializePartialRoundTrip: partial and early-stopped results
-// survive the JSON round trip with their new fields intact.
+// TestEngineSerializePartialRoundTrip: partial results survive the JSON
+// round trip with their engine fields intact.
 func TestEngineSerializePartialRoundTrip(t *testing.T) {
 	o, _ := smallOracle(t)
 	_, lw, _, _ := allApproachPlans(t)
-	res, err := NewEngine(WithWorkers(2), WithEarlyStop(0.05)).Execute(context.Background(), o, lw, 4)
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ev := &cancellingEvaluator{Evaluator: o, n: lw.TotalInjections() / 2, cancel: cancel}
+	res, err := NewEngine(WithWorkers(2)).Execute(ctx, ev, lw, 4)
+	if !errors.Is(err, context.Canceled) || !res.Partial {
+		t.Fatalf("err = %v, partial = %v; want a cancelled partial run", err, res.Partial)
 	}
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
@@ -442,23 +353,10 @@ func TestEngineSerializePartialRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.EarlyStopped) != len(res.EarlyStopped) || back.Partial != res.Partial {
-		t.Errorf("round trip lost engine fields: %+v vs %+v", back.EarlyStopped, res.EarlyStopped)
+	if back.Partial != res.Partial {
+		t.Errorf("round trip lost Partial: %v vs %v", back.Partial, res.Partial)
 	}
 	if back.Injections() != res.Injections() {
 		t.Errorf("round trip changed tallies: %d vs %d", back.Injections(), res.Injections())
-	}
-}
-
-// Guard the stats dependency the early stop builds on: planned sample
-// sizes achieve the requested margin at the planning p, so a stratum can
-// only stop early when the observed proportion is more extreme.
-func TestEarlyStopNeverFiresAtPlanningP(t *testing.T) {
-	cfg := stats.DefaultConfig()
-	n := cfg.SampleSize(1_000_000)
-	for k := int64(earlyStopMinSample); k < n; k += n / 17 {
-		if cfg.ObservedMargin(cfg.P, k, 1_000_000) <= cfg.ErrorMargin {
-			t.Fatalf("margin at planning p met target at n=%d < planned %d", k, n)
-		}
 	}
 }

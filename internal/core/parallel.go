@@ -21,8 +21,7 @@ type WorkerCloner = evalstats.WorkerCloner
 // (decodeFaultChecked instead of decodeFault). It is off by default —
 // the decode arithmetic is pinned by tests — and can be switched on for
 // production campaigns by setting the SFI_VALIDATE_DECODE environment
-// variable to any non-empty value, or per engine with
-// WithDecodeValidation (which wins over the environment).
+// variable to any non-empty value.
 var validateDecode = os.Getenv("SFI_VALIDATE_DECODE") != ""
 
 // RunParallel executes a plan like Run, spreading the evaluation over up
@@ -44,13 +43,13 @@ var validateDecode = os.Getenv("SFI_VALIDATE_DECODE") != ""
 // shared and must be safe for concurrent IsCritical calls.
 //
 // RunParallel is a thin compatibility wrapper over the campaign Engine;
-// use NewEngine directly for cancellation, streaming progress,
-// checkpoint/resume, or early stop.
+// use NewEngine directly for cancellation, streaming progress, or
+// checkpoint/resume.
 func RunParallel(ev Evaluator, plan *Plan, seed int64, workers int) *Result {
 	res, err := NewEngine(WithWorkers(workers)).Execute(context.Background(), ev, plan, seed)
 	if err != nil {
-		// Unreachable: with no cancellable context, checkpoint, or early
-		// stop configured, Execute has no error paths.
+		// Unreachable: with no cancellable context or checkpoint
+		// configured, Execute has no error paths.
 		panic(fmt.Sprintf("core: RunParallel: %v", err))
 	}
 	return res

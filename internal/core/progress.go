@@ -20,8 +20,7 @@ type Progress struct {
 	// Done is the number of injections tallied so far, campaign-wide.
 	Done int64
 	// Planned is the campaign total (Plan.TotalInjections). Done stays
-	// below Planned when strata are early-stopped or the run is
-	// cancelled.
+	// below Planned when the run is cancelled.
 	Planned int64
 	// Critical is the running critical-fault tally across all strata.
 	Critical int64
@@ -36,8 +35,8 @@ type Progress struct {
 	Rate float64
 	// Elapsed is the wall-clock time since Execute started.
 	Elapsed time.Duration
-	// Final marks the last event of the run (emitted on completion,
-	// early-stop exhaustion, and cancellation alike).
+	// Final marks the last event of the run (emitted on completion and
+	// cancellation alike).
 	Final bool
 	// Retries counts failed experiment attempts that were re-run under
 	// supervision; Quarantined counts draws excluded from the tally

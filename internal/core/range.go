@@ -101,8 +101,8 @@ func (x *execution) plannedInjections() int64 {
 // MergeRangeResults folds the partial Results of shard-range executions
 // back into the full-campaign Result, strictly in draw order: for every
 // stratum the parts' windows must tile [0, SampleSize) contiguously in
-// the order given. Each part must be a complete (non-partial,
-// non-early-stopped) run of the same plan; a part with nil Ranges is
+// the order given. Each part must be a complete (non-partial) run of
+// the same plan; a part with nil Ranges is
 // treated as covering every stratum in full (a whole single-node run).
 //
 // The merged Result is byte-identical (via WriteJSON) to a single-node
@@ -136,9 +136,6 @@ func MergeRangeResults(plan *Plan, parts []*Result) (*Result, error) {
 		}
 		if part.Partial {
 			return nil, fmt.Errorf("core: merge: part %d is a partial (interrupted) result", k)
-		}
-		if len(part.EarlyStopped) > 0 {
-			return nil, fmt.Errorf("core: merge: part %d was early-stopped; member-local stops break the global sample", k)
 		}
 		if len(part.Estimates) != len(plan.Subpops) {
 			return nil, fmt.Errorf("core: merge: part %d has %d estimates for a %d-stratum plan", k, len(part.Estimates), len(plan.Subpops))

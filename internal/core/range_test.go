@@ -52,7 +52,7 @@ func TestDrawRangeValidation(t *testing.T) {
 }
 
 // TestDrawRangeEmptyWindows: an all-empty range vector is a valid no-op
-// campaign — zero draws tallied, nothing partial, nothing stopped.
+// campaign — zero draws tallied, nothing partial.
 func TestDrawRangeEmptyWindows(t *testing.T) {
 	_, lw, _, _ := allApproachPlans(t)
 	empty := make([]DrawRange, len(lw.Subpops))
@@ -60,8 +60,8 @@ func TestDrawRangeEmptyWindows(t *testing.T) {
 		empty[i] = DrawRange{From: lw.Subpops[i].SampleSize / 2, To: lw.Subpops[i].SampleSize / 2}
 	}
 	res := rangedResult(t, lw, 3, 2, empty)
-	if res.Partial || len(res.EarlyStopped) != 0 {
-		t.Fatal("empty-window run marked partial/early-stopped")
+	if res.Partial {
+		t.Fatal("empty-window run marked partial")
 	}
 	if got := res.Injections(); got != 0 {
 		t.Fatalf("empty windows tallied %d draws", got)
@@ -181,48 +181,6 @@ func TestDrawRangeCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestDrawRangeEarlyStopBoundary: a window wide enough for the
-// margin-based early stop to fire inside it must stop there — and stay
-// deterministic at a fixed worker count, the same contract the full
-// campaign's early stop carries.
-func TestDrawRangeEarlyStopBoundary(t *testing.T) {
-	_, lw, _, _ := allApproachPlans(t)
-	ranges := fullWindows(lw)
-	res := rangedResult(t, lw, 9, 4, ranges, WithEarlyStop(0))
-	if len(res.EarlyStopped) == 0 {
-		t.Fatal("no stratum early-stopped inside its window")
-	}
-	for _, i := range res.EarlyStopped {
-		if n := res.Estimates[i].SampleSize; n >= ranges[i].Len() || n < earlyStopMinSample {
-			t.Errorf("stratum %d: stop at n=%d implausible for a %d-draw window", i, n, ranges[i].Len())
-		}
-	}
-	again := rangedResult(t, lw, 9, 4, ranges, WithEarlyStop(0))
-	if !bytes.Equal(resultBytes(t, res), resultBytes(t, again)) {
-		t.Fatal("ranged early stop not deterministic at a fixed worker count")
-	}
-
-	// A narrow window ending before the stop could mature (fewer than
-	// earlyStopMinSample effective draws) must complete without stopping.
-	narrow := make([]DrawRange, len(lw.Subpops))
-	for i := range narrow {
-		to := int64(earlyStopMinSample - 1)
-		if max := lw.Subpops[i].SampleSize; to > max {
-			to = max
-		}
-		narrow[i] = DrawRange{From: 0, To: to}
-	}
-	small := rangedResult(t, lw, 9, 2, narrow, WithEarlyStop(0))
-	if len(small.EarlyStopped) != 0 {
-		t.Fatalf("strata %v early-stopped below the minimum effective sample", small.EarlyStopped)
-	}
-	for i, est := range small.Estimates {
-		if est.SampleSize != narrow[i].Len() {
-			t.Errorf("stratum %d: tallied %d of a %d-draw window", i, est.SampleSize, narrow[i].Len())
-		}
-	}
-}
-
 // TestMergeRangeResultsErrors: the merge must reject anything that is
 // not an in-order gap-free tiling of complete parts of the same plan.
 func TestMergeRangeResultsErrors(t *testing.T) {
@@ -238,14 +196,13 @@ func TestMergeRangeResultsErrors(t *testing.T) {
 		plan  *Plan
 		parts []*Result
 	}{
-		"no parts":        {lw, nil},
-		"out of order":    {lw, []*Result{second, first}},
-		"gap":             {lw, []*Result{second}},
-		"double-tally":    {lw, []*Result{first, first, second}},
-		"short coverage":  {lw, []*Result{first}},
-		"wrong plan":      {du, []*Result{first, second}},
-		"partial part":    {lw, []*Result{first, {Plan: lw, Partial: true}}},
-		"early-stop part": {lw, []*Result{first, {Plan: lw, EarlyStopped: []int{0}}}},
+		"no parts":       {lw, nil},
+		"out of order":   {lw, []*Result{second, first}},
+		"gap":            {lw, []*Result{second}},
+		"double-tally":   {lw, []*Result{first, first, second}},
+		"short coverage": {lw, []*Result{first}},
+		"wrong plan":     {du, []*Result{first, second}},
+		"partial part":   {lw, []*Result{first, {Plan: lw, Partial: true}}},
 	}
 	for label, tc := range cases {
 		if _, err := MergeRangeResults(tc.plan, tc.parts); err == nil {

@@ -42,11 +42,6 @@ type Result struct {
 	// evaluated prefix (SampleSize = actual draws evaluated, which may
 	// be below the planned Plan.Subpops[i].SampleSize).
 	Partial bool `json:",omitempty"`
-	// EarlyStopped lists the strata (indices into Plan.Subpops, in plan
-	// order) halted by the engine's margin-based early stop; their
-	// actual sample sizes are in Estimates, the planned ones in the
-	// Plan.
-	EarlyStopped []int `json:",omitempty"`
 	// Ranges records the per-stratum [From, To) draw windows a
 	// shard-range execution (WithDrawRanges) covered; nil for a
 	// full-campaign run. Estimates then tally only the draws inside each
@@ -70,12 +65,12 @@ type Result struct {
 //
 // Run is a thin compatibility wrapper over the campaign Engine at one
 // worker; use NewEngine directly for cancellation, streaming progress,
-// checkpoint/resume, or early stop.
+// or checkpoint/resume.
 func Run(ev Evaluator, plan *Plan, seed int64) *Result {
 	res, err := NewEngine(WithWorkers(1)).Execute(context.Background(), ev, plan, seed)
 	if err != nil {
-		// Unreachable: with no cancellable context, checkpoint, or early
-		// stop configured, Execute has no error paths.
+		// Unreachable: with no cancellable context or checkpoint
+		// configured, Execute has no error paths.
 		panic(fmt.Sprintf("core: Run: %v", err))
 	}
 	return res

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cnnsfi/internal/models"
@@ -30,11 +32,11 @@ func TestShardGridSpacing(t *testing.T) {
 	}
 }
 
-// earlyStopResult runs plan with early stop at the plan's margin,
-// optionally windowed, interrupted and resumed through a checkpoint.
-func earlyStopResult(t *testing.T, ev Evaluator, plan *Plan, ranges []DrawRange, workers int, ctx context.Context, ckpt string) (*Result, error) {
+// fixedNResult runs plan at fixed n, optionally windowed, interrupted
+// and resumed through a checkpoint.
+func fixedNResult(t *testing.T, ev Evaluator, plan *Plan, ranges []DrawRange, workers int, ctx context.Context, ckpt string) (*Result, error) {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithEarlyStop(0), WithDrawRanges(ranges)}
+	opts := []Option{WithWorkers(workers), WithDrawRanges(ranges)}
 	if ckpt != "" {
 		checkpointEveryMerge(t)
 		opts = append(opts, WithCheckpoint(ckpt), WithResume())
@@ -42,38 +44,42 @@ func earlyStopResult(t *testing.T, ev Evaluator, plan *Plan, ranges []DrawRange,
 	return NewEngine(opts...).Execute(ctx, ev, plan, 5)
 }
 
-// TestEarlyStopIndependentOfWorkersAndResume is the differential test of
-// the plan-derived shard grid. With early stop on, the data-unaware
-// plan's Result must be the same bytes at workers 1 to 4, and a run
-// cancelled at 1 worker, resumed at 4, cancelled again and resumed at 2
-// must reproduce the uninterrupted 3-worker run byte for byte. The same
-// holds for a WithDrawRanges window that starts off the grid.
-func TestEarlyStopIndependentOfWorkersAndResume(t *testing.T) {
+// TestFixedNIndependentOfWorkersAndResume is the differential test of
+// the plan-derived shard grid. The data-unaware plan's Result must be
+// the same bytes at workers 1 to 4, and a run cancelled at 1 worker,
+// resumed at 4, cancelled again and resumed at 2 must reproduce the
+// uninterrupted 3-worker run byte for byte. The same holds for a
+// WithDrawRanges window that starts off the grid.
+func TestFixedNIndependentOfWorkersAndResume(t *testing.T) {
 	o, _ := smallOracle(t)
 	cfg := stats.DefaultConfig()
-	cfg.ErrorMargin = 0.005 // strata past the 4,096-draw grid, so stops fall inside them
+	cfg.ErrorMargin = 0.005 // the largest strata span two grid cells
 	du := PlanDataUnaware(o.Space(), cfg)
+	if g := shardGrid(du); !slices.ContainsFunc(du.Subpops, func(s Subpopulation) bool { return s.SampleSize > g }) {
+		t.Fatalf("no stratum spans more than one %d-draw grid cell", g)
+	}
 	window := make([]DrawRange, len(du.Subpops)) // off the grid, up to the end
 	for i, sub := range du.Subpops {
 		window[i] = DrawRange{From: min(100, sub.SampleSize), To: sub.SampleSize}
 	}
 	for label, ranges := range map[string][]DrawRange{"full": nil, "ranged": window} {
 		t.Run(label, func(t *testing.T) {
-			want, err := earlyStopResult(t, o, du, ranges, 3, context.Background(), "")
+			want, err := fixedNResult(t, o, du, ranges, 3, context.Background(), "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(want.EarlyStopped) == 0 || len(want.EarlyStopped) == len(du.Subpops) {
-				t.Fatalf("%d of %d strata early-stopped; the test needs both kinds", len(want.EarlyStopped), len(du.Subpops))
+			x := &execution{plan: du, ranges: ranges}
+			if want.Injections() != x.plannedInjections() {
+				t.Fatalf("tallied %d draws, want the planned %d", want.Injections(), x.plannedInjections())
 			}
 			wantBytes := resultBytes(t, want)
 			for workers := 1; workers <= 4; workers++ {
-				got, err := earlyStopResult(t, o, du, ranges, workers, context.Background(), "")
+				got, err := fixedNResult(t, o, du, ranges, workers, context.Background(), "")
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(resultBytes(t, got), wantBytes) {
-					t.Fatalf("early-stopped Result at %d workers differs from 3 workers", workers)
+					t.Fatalf("Result at %d workers differs from 3 workers", workers)
 				}
 			}
 
@@ -85,13 +91,13 @@ func TestEarlyStopIndependentOfWorkersAndResume(t *testing.T) {
 			}{{1, tallied / 3}, {4, tallied / 3}} {
 				ctx, cancel := context.WithCancel(context.Background())
 				ev := &cancellingEvaluator{Evaluator: o, n: leg.after, cancel: cancel}
-				partial, err := earlyStopResult(t, ev, du, ranges, leg.workers, ctx, ckpt)
+				partial, err := fixedNResult(t, ev, du, ranges, leg.workers, ctx, ckpt)
 				cancel()
 				if !errors.Is(err, context.Canceled) || !partial.Partial {
 					t.Fatalf("leg at %d workers: err = %v, partial = %v; want a cancelled partial run", leg.workers, err, partial.Partial)
 				}
 			}
-			got, err := earlyStopResult(t, o, du, ranges, 2, context.Background(), ckpt)
+			got, err := fixedNResult(t, o, du, ranges, 2, context.Background(), ckpt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,6 +198,63 @@ func TestCheckpointV2Loads(t *testing.T) {
 		if delta := o.EvalStats().Experiments() - before; delta != lw.TotalInjections()-doc.Injections {
 			t.Errorf("resume at %d workers ran %d experiments, want %d", workers, delta, lw.TotalInjections()-doc.Injections)
 		}
+	}
+}
+
+// TestCheckpointStoppedStratumResumesToPlannedN: a version 3
+// checkpoint that marks a stratum "stopped" (written by builds that had
+// margin-based early stop) still passes the CRC check, and the stratum
+// resumes to its planned n, so the Result is the bytes of an
+// uninterrupted fixed-n run at the same (plan, seed).
+func TestCheckpointStoppedStratumResumesToPlannedN(t *testing.T) {
+	o, _ := smallOracle(t)
+	_, lw, _, _ := allApproachPlans(t)
+	const seed = 7
+	want := resultBytes(t, Run(o, lw, seed))
+	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	interruptWithCheckpoints(t, o, lw, seed, 2, ckpt)
+	doc, err := readCheckpointDoc(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := -1
+	for i, cs := range doc.Strata {
+		if cs.Cursor < lw.Subpops[i].SampleSize {
+			stopped = i
+			break
+		}
+	}
+	if doc.Version != 3 || stopped < 0 {
+		t.Fatalf("checkpoint version %d with no unfinished stratum; the test needs a mid-run v3 file", doc.Version)
+	}
+
+	// Re-serialize with "stopped": true on that stratum and the CRC
+	// recomputed over the new bytes, as writeCheckpoint lays them out.
+	doc.Checksum = 0
+	body, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(body, []byte(`"strata":[`))
+	for k := 0; k <= stopped; k++ {
+		at += bytes.Index(body[at:], []byte(`{"cursor":`)) + 1
+	}
+	body = append(body[:at:at], append([]byte(`"stopped":true,`), body[at:]...)...)
+	data := append(fmt.Appendf(nil, `{"crc32":%d,`, crc32.ChecksumIEEE(body)), body[1:]...)
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := o.EvalStats().Experiments()
+	res, err := NewEngine(resumeOpts(ckpt, 3, nil)...).Execute(context.Background(), o, lw, seed)
+	if err != nil {
+		t.Fatalf("resume of a checkpoint with a stopped stratum: %v", err)
+	}
+	if !bytes.Equal(resultBytes(t, res), want) {
+		t.Error("stopped stratum did not resume to the uninterrupted fixed-n bytes")
+	}
+	if delta := o.EvalStats().Experiments() - before; delta != lw.TotalInjections()-doc.Injections {
+		t.Errorf("resume ran %d experiments, want %d planned minus %d tallied", delta, lw.TotalInjections(), doc.Injections)
 	}
 }
 

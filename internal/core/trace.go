@@ -8,8 +8,7 @@ import (
 // a TraceSink (WithTrace). The kinds mirror the lifecycle of one
 // Execute call: a campaign starts, strata start as their first shard is
 // dispatched, evaluated shards complete on workers, strata end when
-// their prefix is fully merged (or an early stop cuts them short),
-// checkpoints are written, and the campaign ends exactly once.
+// their prefix is fully merged, checkpoints are written, and the campaign ends exactly once.
 type TraceKind uint8
 
 // Engine trace event kinds, in lifecycle order.
@@ -36,17 +35,13 @@ const (
 	// recomputed over the reduced n.
 	TraceExperimentQuarantined
 	// TraceStratumEnd marks a stratum's tally becoming final for this
-	// run: every shard merged in draw order, or an early stop.
+	// run: every shard merged in draw order.
 	TraceStratumEnd
-	// TraceEarlyStop records an early-stop firing: the stratum, its
-	// tallied sample size, and the achieved margin that crossed the
-	// target.
-	TraceEarlyStop
 	// TraceCheckpoint records a successful checkpoint write.
 	TraceCheckpoint
 	// TraceCampaignEnd closes the campaign with the final tallies; it is
-	// emitted on completion, early-stop exhaustion, and cancellation
-	// alike (Partial distinguishes the latter).
+	// emitted on completion and cancellation alike (Partial
+	// distinguishes the latter).
 	TraceCampaignEnd
 )
 
@@ -65,8 +60,6 @@ func (k TraceKind) String() string {
 		return "experiment_quarantined"
 	case TraceStratumEnd:
 		return "stratum_end"
-	case TraceEarlyStop:
-		return "early_stop"
 	case TraceCheckpoint:
 		return "checkpoint"
 	case TraceCampaignEnd:
@@ -88,10 +81,9 @@ func (k TraceKind) String() string {
 //	TraceExperimentQuarantined  Stratum, Draw, Fault, Attempts, Err
 //	TraceStratumEnd     Stratum, Layer, Bit, StratumPlanned, Done, Critical,
 //	                    Dur (stratum wall time), Eval (campaign-wide snapshot)
-//	TraceEarlyStop      Stratum, Done (tallied effective n), Critical, Margin
 //	TraceCheckpoint     Path, Done, Critical
-//	TraceCampaignEnd    Done, Critical, Planned, Rate, Partial, EarlyStopped,
-//	                    Retries, Quarantined, Eval
+//	TraceCampaignEnd    Done, Critical, Planned, Rate, Partial, Retries,
+//	                    Quarantined, Eval
 type TraceEvent struct {
 	// Kind discriminates the event.
 	Kind TraceKind
@@ -154,14 +146,10 @@ type TraceEvent struct {
 	Retries     int64
 	Quarantined int64
 
-	// Margin is the achieved margin that fired an early stop.
-	Margin float64
 	// Rate is injections per second over this Execute call.
 	Rate float64
 	// Partial marks a cancelled campaign's end event.
 	Partial bool
-	// EarlyStopped counts early-stopped strata at campaign end.
-	EarlyStopped int
 	// Path is the checkpoint file path.
 	Path string
 
@@ -186,7 +174,7 @@ type TraceSink func(TraceEvent)
 // event vocabulary. Tracing is independent of WithProgress — progress
 // events summarize merged totals on an injection interval, trace events
 // record the engine's structural decisions (shard scheduling, stratum
-// boundaries, early stops, checkpoints).
+// boundaries, checkpoints).
 func WithTrace(sink TraceSink) Option { return func(e *Engine) { e.trace = sink } }
 
 // traceState is the per-Execute bookkeeping behind trace emission,
@@ -248,13 +236,13 @@ func (x *execution) traceStratumStart(i int) {
 }
 
 // traceStratumEnd emits the stratum's end event once its tally is final
-// for this run (all shards merged, or stopped early).
+// for this run (all shards merged).
 func (x *execution) traceStratumEnd(i int) {
 	if x.trace == nil || !x.tstate.started[i] || x.tstate.ended[i] {
 		return
 	}
 	st := x.strata[i]
-	if _, to := x.rangeBounds(i); !st.stopped && st.cursor < to {
+	if _, to := x.rangeBounds(i); st.cursor < to {
 		return
 	}
 	x.tstate.ended[i] = true

@@ -73,29 +73,3 @@ func TestEngineCheckpointResumeInjector(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineEarlyStopInjector: early stop against real inference — a
-// stratum may only halt once its observed margin meets the target, and
-// the injector's per-worker clones must not disturb the tally.
-func TestEngineEarlyStopInjector(t *testing.T) {
-	inj := newTestInjector(t)
-	cfg := stats.DefaultConfig()
-	cfg.ErrorMargin = 0.05
-	plan := core.PlanLayerWise(inj.Space(), cfg)
-
-	res, err := core.NewEngine(core.WithWorkers(2), core.WithEarlyStop(0.10)).
-		Execute(context.Background(), inj, plan, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range res.EarlyStopped {
-		est := res.Estimates[i]
-		if est.SampleSize >= plan.Subpops[i].SampleSize {
-			t.Errorf("stratum %d: stopped but n=%d not below planned %d",
-				i, est.SampleSize, plan.Subpops[i].SampleSize)
-		}
-		if m := cfg.ObservedMargin(est.PHat(), est.SampleSize, est.PopulationSize); m > 0.10 {
-			t.Errorf("stratum %d stopped at margin %v > target 0.10", i, m)
-		}
-	}
-}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,5 +102,46 @@ func TestEverySpecFieldIsDocumented(t *testing.T) {
 				t.Errorf("docs/API.md never mentions %s field %q", typ.Name(), name)
 			}
 		}
+	}
+}
+
+// TestSpecTableMatchesCampaignSpec checks the other direction for the
+// request schema: the rows of docs/API.md's "Request body
+// (`CampaignSpec`)" table must be exactly the struct's JSON fields, so
+// a deleted field cannot linger as documentation.
+func TestSpecTableMatchesCampaignSpec(t *testing.T) {
+	doc := apiDoc(t)
+	_, table, ok := strings.Cut(doc, "Request body (`CampaignSpec`)")
+	if !ok {
+		t.Fatal("docs/API.md has no \"Request body (`CampaignSpec`)\" table")
+	}
+	// The table is the first run of consecutive "|" lines after the
+	// caption.
+	row := regexp.MustCompile("^\\| `(\\w+)` \\|")
+	var rows []string
+	inTable := false
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		if m := row.FindStringSubmatch(line); m != nil {
+			rows = append(rows, m[1])
+		}
+	}
+	var fields []string
+	typ := reflect.TypeOf(service.CampaignSpec{})
+	for i := 0; i < typ.NumField(); i++ {
+		if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
+			fields = append(fields, name)
+		}
+	}
+	slices.Sort(rows)
+	slices.Sort(fields)
+	if !slices.Equal(rows, fields) {
+		t.Errorf("CampaignSpec JSON fields %v\ndocs/API.md spec table rows %v", fields, rows)
 	}
 }

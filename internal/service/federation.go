@@ -1132,9 +1132,10 @@ type JoinConfig struct {
 // protocol: register, then heartbeat until ctx ends. A heartbeat
 // answered with 404 (coordinator restarted, registry gone) triggers
 // re-registration; transport errors are reported through Warnf and the
-// next tick simply tries again. The member-side breaker makes a dead
-// coordinator cost one fast refusal per tick instead of a full
-// timeout.
+// next tick simply tries again. A call cut short because ctx ended is
+// an ordinary shutdown, not a fault, and is not reported. The
+// member-side breaker makes a dead coordinator cost one fast refusal
+// per tick instead of a full timeout.
 func JoinFleet(ctx context.Context, jc JoinConfig) {
 	warnf := jc.Warnf
 	if warnf == nil {
@@ -1159,6 +1160,9 @@ func JoinFleet(ctx context.Context, jc JoinConfig) {
 			var st MemberStatus
 			err := client.api(ctx, jc.Coordinator, http.MethodPost, "/api/v1/members",
 				memberRegistration{URL: jc.Advertise, Name: jc.Name}, &st)
+			if ctx.Err() != nil {
+				return
+			}
 			if err != nil {
 				warnf("join: registering with %s: %v", jc.Coordinator, err)
 			} else {
@@ -1168,6 +1172,9 @@ func JoinFleet(ctx context.Context, jc JoinConfig) {
 			err := client.api(ctx, jc.Coordinator, http.MethodPost,
 				"/api/v1/members/"+id+"/heartbeat", nil, nil)
 			var fatal *fatalMemberError
+			if ctx.Err() != nil {
+				return
+			}
 			if errors.As(err, &fatal) {
 				id = "" // unknown to the coordinator: re-register next tick
 			} else if err != nil {

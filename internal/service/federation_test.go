@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -231,6 +232,46 @@ func TestMemberEndpointsHTTP(t *testing.T) {
 	}
 }
 
+// TestJoinFleetQuietOnShutdown: a member whose context ends while a
+// registration or heartbeat call is in flight returns without a
+// warning — the cut-short call is an ordinary shutdown.
+func TestJoinFleetQuietOnShutdown(t *testing.T) {
+	for _, blockOn := range []string{"register", "heartbeat"} {
+		t.Run(blockOn, func(t *testing.T) {
+			blocked := make(chan struct{}, 1)
+			coordSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if blockOn == "heartbeat" && r.URL.Path == "/api/v1/members" {
+					json.NewEncoder(w).Encode(service.MemberStatus{ID: "m0001"})
+					return
+				}
+				io.Copy(io.Discard, r.Body) // lets the server see the client hang up
+				select {
+				case blocked <- struct{}{}:
+				default:
+				}
+				<-r.Context().Done() // hold the call until the member cancels it
+			}))
+			defer coordSrv.Close()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				service.JoinFleet(ctx, service.JoinConfig{
+					Coordinator: coordSrv.URL, Advertise: "http://127.0.0.1:1", Name: "m",
+					Interval: 10 * time.Millisecond, RPCTimeout: time.Minute,
+					Warnf: func(format string, args ...any) {
+						t.Errorf("warning on an ordinary shutdown: "+format, args...)
+					},
+				})
+			}()
+			<-blocked
+			cancel()
+			<-done
+		})
+	}
+}
+
 // TestFederatedSpecValidation pins the mutual exclusions around
 // federated and ranged specs.
 func TestFederatedSpecValidation(t *testing.T) {
@@ -240,19 +281,10 @@ func TestFederatedSpecValidation(t *testing.T) {
 	}
 	defer mustShutdown(t, coord)
 
-	stop := 0.0
 	cases := map[string]func(*service.CampaignSpec){
 		"federated_with_ranges": func(s *service.CampaignSpec) {
 			s.Federated = true
 			s.Ranges = []core.DrawRange{{From: 0, To: 1}}
-		},
-		"federated_with_early_stop": func(s *service.CampaignSpec) {
-			s.Federated = true
-			s.EarlyStop = &stop
-		},
-		"ranges_with_early_stop": func(s *service.CampaignSpec) {
-			s.Ranges = []core.DrawRange{{From: 0, To: 1}}
-			s.EarlyStop = &stop
 		},
 		"inverted_range": func(s *service.CampaignSpec) {
 			s.Ranges = []core.DrawRange{{From: 5, To: 1}}

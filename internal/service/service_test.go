@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -539,6 +541,36 @@ func TestRecoverTerminalJobs(t *testing.T) {
 	}
 }
 
+// TestRecoverJobRecordWithEarlyStop: a pending job record persisted by
+// a build that had margin-based early stop still loads (records decode
+// tolerantly), ignores its "early_stop" value, and runs to the fixed-n
+// Result of the same spec.
+func TestRecoverJobRecordWithEarlyStop(t *testing.T) {
+	dir := t.TempDir()
+	spec := fullSpec("data-aware", 0.05)
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fmt.Sprintf(`{"id":"j000001","seq":1,"spec":{"early_stop":0,%s,"state":"pending"}`, specJSON[1:])
+	if err := os.WriteFile(filepath.Join(dir, "j000001.job.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.New(service.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, svc)
+	waitState(t, svc, "j000001", service.StateCompleted)
+	got, err := svc.Result("j000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, directResult(t, spec)) {
+		t.Error("recovered early_stop record did not run the fixed-n campaign")
+	}
+}
+
 // TestRangedJobReportsProgressWhileRunning: a member-sized ranged job,
 // far below 10,000 draws, reports tallied draws and a rate while it
 // runs under the default Config, so the fleet view and the backup rule
@@ -676,6 +708,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"inference_resnet", `{"model":"resnet20","approach":"data-aware","substrate":"inference"}`},
 		{"negative_batch", `{"model":"smallcnn","approach":"data-aware","substrate":"inference","batch":-1}`},
 		{"batch_on_oracle", `{"model":"smallcnn","approach":"data-aware","batch":8}`},
+		// Margin-based early stop was removed; the strict decoder rejects
+		// specs written for builds that had it.
+		{"early_stop_removed", `{"model":"smallcnn","approach":"data-aware","early_stop":0}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -62,9 +62,6 @@ type CampaignSpec struct {
 	// Priority orders the queue: higher runs first; equal priorities run
 	// FIFO. Default 0.
 	Priority int `json:"priority,omitempty"`
-	// EarlyStop, when set, stops each stratum at this achieved margin
-	// (0 = the requested margin). Omit to disable.
-	EarlyStop *float64 `json:"early_stop,omitempty"`
 	// ExperimentTimeoutMS arms the per-experiment watchdog (0 = off).
 	ExperimentTimeoutMS int64 `json:"experiment_timeout_ms,omitempty"`
 	// MaxRetries bounds retries per failing experiment before
@@ -82,7 +79,7 @@ type CampaignSpec struct {
 	// each stratum (one entry per plan stratum, in plan order). This is
 	// how a coordinator ships one member's share of a federated plan; it
 	// composes with checkpoints and resume like any other job. Mutually
-	// exclusive with Federated and EarlyStop.
+	// exclusive with Federated.
 	Ranges []core.DrawRange `json:"ranges,omitempty"`
 	// FederatedJob / FederatedPart / FederatedMember correlate a ranged
 	// member job back to the coordinator job it is one part of: the
@@ -169,9 +166,6 @@ func (spec *CampaignSpec) validate() error {
 	if spec.Batch > 1 && spec.Substrate != "inference" {
 		return bad("batch needs the inference substrate; the oracle runs no forward passes to batch")
 	}
-	if spec.EarlyStop != nil && (*spec.EarlyStop < 0 || *spec.EarlyStop >= 1) {
-		return bad("early_stop must be inside [0,1) (got %v); omit it to disable", *spec.EarlyStop)
-	}
 	if spec.ExperimentTimeoutMS < 0 {
 		return bad("experiment_timeout_ms must be >= 0 (got %d)", spec.ExperimentTimeoutMS)
 	}
@@ -180,12 +174,6 @@ func (spec *CampaignSpec) validate() error {
 	}
 	if spec.Federated && len(spec.Ranges) > 0 {
 		return bad("federated and ranges are mutually exclusive; the coordinator assigns each member's ranges")
-	}
-	if spec.Federated && spec.EarlyStop != nil {
-		return bad("federated campaigns cannot early-stop: a member-local stop would break the global sample")
-	}
-	if spec.EarlyStop != nil && len(spec.Ranges) > 0 {
-		return bad("ranges and early_stop are mutually exclusive; a window-local stop would break the federated merge")
 	}
 	for i, r := range spec.Ranges {
 		if r.From < 0 || r.From > r.To {
@@ -288,9 +276,6 @@ func (s *Service) engineOptions(j *job, tr *telemetry.Tracer) []core.Option {
 		core.WithWarnings(func(msg string) { s.warnf("job %s: %s", j.id, msg) }),
 		core.WithProgress(progress),
 		core.WithTrace(trace),
-	}
-	if spec.EarlyStop != nil {
-		opts = append(opts, core.WithEarlyStop(*spec.EarlyStop))
 	}
 	if spec.ExperimentTimeoutMS > 0 {
 		opts = append(opts, core.WithExperimentTimeout(time.Duration(spec.ExperimentTimeoutMS)*time.Millisecond))

@@ -39,10 +39,9 @@ import (
 //	experiment_quarantined  campaign, stratum, draw, fault, attempts, error
 //	stratum_end     campaign, stratum, layer, bit, stratum_planned, done, critical,
 //	                dur_ns, eval_*
-//	early_stop      campaign, stratum, done, critical, margin
 //	checkpoint      campaign, path, done, critical
-//	campaign_end    campaign, done, critical, planned, rate, partial, early_stopped,
-//	                retries, quarantined, eval_*
+//	campaign_end    campaign, done, critical, planned, rate, partial, retries,
+//	                quarantined, eval_*
 //	progress        campaign, done, planned, critical, stratum, stratum_done,
 //	                stratum_planned, rate, final, retries, quarantined, eval_*
 //	part_meta       campaign, federated_job, part, member, ranges (a federated
@@ -97,13 +96,11 @@ type Event struct {
 	Retries     int64  `json:"retries,omitempty"`
 	Quarantined int64  `json:"quarantined,omitempty"`
 
-	Margin float64 `json:"margin,omitempty"`
-	Rate   float64 `json:"rate,omitempty"`
+	Rate float64 `json:"rate,omitempty"`
 
-	Partial      bool   `json:"partial,omitempty"`
-	Final        bool   `json:"final,omitempty"`
-	EarlyStopped int    `json:"early_stopped,omitempty"`
-	Path         string `json:"path,omitempty"`
+	Partial bool   `json:"partial,omitempty"`
+	Final   bool   `json:"final,omitempty"`
+	Path    string `json:"path,omitempty"`
 
 	// Flattened evalstats.EvalStats snapshot (see Progress.Eval for the
 	// delta-vs-level semantics: arena bytes is a level).
@@ -209,10 +206,8 @@ func FromTrace(campaign string, ev core.TraceEvent) Event {
 	e.Error = ev.Err
 	e.Retries = ev.Retries
 	e.Quarantined = ev.Quarantined
-	e.Margin = ev.Margin
 	e.Rate = ev.Rate
 	e.Partial = ev.Partial
-	e.EarlyStopped = ev.EarlyStopped
 	e.Path = ev.Path
 	e.setEval(ev.Eval)
 	return e

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"cnnsfi/internal/evalstats"
@@ -21,8 +20,6 @@ type StratumSummary struct {
 	Critical            int64
 	Shards              int
 	Dur                 time.Duration
-	EarlyStopped        bool
-	Margin              float64 // achieved margin, when early-stopped
 	// Retried / Quarantined count the stratum's experiment_retry and
 	// experiment_quarantined events (supervised campaigns only).
 	Retried     int64
@@ -39,18 +36,16 @@ type CampaignSummary struct {
 	Restored    int64
 	NumStrata   int
 
-	// Done/Critical/Rate/Partial/EarlyStopped/Eval come from the
-	// campaign_end event; Complete is false when the trace has none
-	// (e.g. a crashed run), in which case they hold the last observed
-	// values instead.
-	Complete     bool
-	Done         int64
-	Critical     int64
-	Elapsed      time.Duration
-	Rate         float64
-	Partial      bool
-	EarlyStopped int
-	Eval         evalstats.EvalStats
+	// Done/Critical/Rate/Partial/Eval come from the campaign_end event;
+	// Complete is false when the trace has none (e.g. a crashed run), in
+	// which case they hold the last observed values instead.
+	Complete bool
+	Done     int64
+	Critical int64
+	Elapsed  time.Duration
+	Rate     float64
+	Partial  bool
+	Eval     evalstats.EvalStats
 	// Retries / Quarantined are the campaign-wide supervision tallies
 	// (zero on unsupervised or healthy campaigns).
 	Retries     int64
@@ -173,10 +168,6 @@ func Summarize(events []Event) *Summary {
 			st.Done = ev.Done
 			st.Critical = ev.Critical
 			st.Dur = time.Duration(ev.DurNS)
-		case "early_stop":
-			st := stratum(c, ev)
-			st.EarlyStopped = true
-			st.Margin = ev.Margin
 		case "checkpoint":
 			c.Checkpoints++
 		case KindPartMeta:
@@ -189,7 +180,6 @@ func Summarize(events []Event) *Summary {
 			c.Elapsed = time.Duration(ev.ElapsedNS)
 			c.Rate = ev.Rate
 			c.Partial = ev.Partial
-			c.EarlyStopped = ev.EarlyStopped
 			c.Retries = ev.Retries
 			c.Quarantined = ev.Quarantined
 			c.Eval = ev.Eval()
@@ -267,8 +257,8 @@ func (s *Summary) WriteReport(w io.Writer, stripTiming bool) {
 		} else {
 			fmt.Fprintf(w, "  wall: %s, rate: %.0f inj/s\n", dur(c.Elapsed), c.Rate)
 		}
-		fmt.Fprintf(w, "  strata: %d planned, %d early-stopped; %s shards, %s checkpoints\n",
-			c.NumStrata, c.EarlyStopped, count(c.ShardsDone), count(c.Checkpoints))
+		fmt.Fprintf(w, "  strata: %d planned; %s shards, %s checkpoints\n",
+			c.NumStrata, count(c.ShardsDone), count(c.Checkpoints))
 		// Rendered only for supervised campaigns that actually retried or
 		// quarantined work, so healthy-campaign goldens stay byte-stable.
 		if c.Retries > 0 || c.Quarantined > 0 {
@@ -279,14 +269,11 @@ func (s *Summary) WriteReport(w io.Writer, stripTiming bool) {
 		if len(c.Strata) > 0 {
 			t := report.NewTable("", "stratum", "layer", "bit", "planned", "done", "critical", "shards", "wall", "note")
 			for _, st := range c.Strata {
-				var notes []string
-				if st.EarlyStopped {
-					notes = append(notes, fmt.Sprintf("early stop @ margin %.4f", st.Margin))
-				}
+				note := ""
 				if st.Quarantined > 0 {
-					notes = append(notes, fmt.Sprintf("%d quarantined (margin over reduced n)", st.Quarantined))
+					note = fmt.Sprintf("%d quarantined (margin over reduced n)", st.Quarantined)
 				}
-				t.AddRow(st.Stratum, st.Layer, st.Bit, st.Planned, st.Done, st.Critical, count(st.Shards), dur(st.Dur), strings.Join(notes, "; "))
+				t.AddRow(st.Stratum, st.Layer, st.Bit, st.Planned, st.Done, st.Critical, count(st.Shards), dur(st.Dur), note)
 			}
 			t.Render(w)
 		}

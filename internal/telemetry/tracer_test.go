@@ -166,8 +166,8 @@ func TestEventRoundTrip(t *testing.T) {
 	})
 	sink(core.TraceEvent{Kind: core.TraceShardDone, Stratum: 2, Shard: 5, Worker: 1,
 		Injections: 128, Dur: 3 * time.Millisecond, Layer: -1, Bit: -1})
-	sink(core.TraceEvent{Kind: core.TraceEarlyStop, Stratum: 0, Done: 211, Critical: 3,
-		Margin: 0.0099, Layer: -1, Bit: -1, Shard: -1, Worker: -1})
+	sink(core.TraceEvent{Kind: core.TraceCheckpoint, Path: "run.ckpt", Done: 211, Critical: 3,
+		Stratum: -1, Layer: -1, Bit: -1, Shard: -1, Worker: -1})
 	prog(core.Progress{Done: 500, Planned: 1000, Critical: 9, Stratum: 2, Final: true})
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -200,6 +200,11 @@ func TestEventRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseEvent([]byte(`{"kind":"nonsense"}`)); err == nil {
 		t.Error("unknown kind accepted")
+	}
+	// Traces recorded by builds with margin-based early stop no longer
+	// parse: the kind and its margin field are gone.
+	if _, err := ParseEvent([]byte(`{"kind":"early_stop","stratum":0,"layer":-1,"bit":-1,"shard":-1,"worker":-1}`)); err == nil {
+		t.Error("early_stop kind accepted")
 	}
 	if _, err := ParseEvent([]byte(`not json`)); err == nil {
 		t.Error("non-JSON line accepted")

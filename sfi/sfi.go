@@ -27,14 +27,14 @@
 // operational controls long campaigns need: context cancellation and
 // deadlines, streaming progress events, checkpoint/resume (an
 // interrupted campaign resumes bit-identically at the same seed), and
-// margin-based early stop:
+// supervision of failing experiments:
 //
 //	eng := sfi.NewEngine(
 //		sfi.WithWorkers(0),                   // all cores
 //		sfi.WithProgress(printProgress),      // streaming events
 //		sfi.WithCheckpoint("run.ckpt"),       // periodic + on-cancel
 //		sfi.WithResume(),                     // continue if run.ckpt exists
-//		sfi.WithEarlyStop(0),                 // stop strata at achieved e
+//		sfi.WithMaxRetries(2),                // quarantine after 2 retries
 //	)
 //	result, err := eng.Execute(ctx, oracle, plan, 0)
 //
@@ -135,7 +135,7 @@ type (
 	Format = fp.Format
 	// Engine is the unified campaign executor behind Run/RunParallel,
 	// with cancellation, progress streaming, checkpoint/resume, and
-	// margin-based early stop (see NewEngine and the With* options).
+	// supervision (see NewEngine and the With* options).
 	Engine = core.Engine
 	// EngineOption configures an Engine (functional options).
 	EngineOption = core.Option
@@ -154,7 +154,7 @@ type (
 	// (both the inference Injector and the Oracle do).
 	StatsReporter = core.StatsReporter
 	// TraceEvent is one structured engine event (campaign/stratum/shard
-	// lifecycle, early stops, checkpoints); see WithTrace.
+	// lifecycle, checkpoints); see WithTrace.
 	TraceEvent = core.TraceEvent
 	// TraceKind discriminates TraceEvents.
 	TraceKind = core.TraceKind
@@ -405,7 +405,7 @@ func RunParallel(ev Evaluator, plan *Plan, seed int64, workers int) *Result {
 }
 
 // NewEngine builds the unified campaign engine. Defaults match
-// RunParallel (all cores, no checkpointing, no early stop); see the
+// RunParallel (all cores, no checkpointing); see the
 // With* options for the operational controls.
 func NewEngine(opts ...EngineOption) *Engine { return core.NewEngine(opts...) }
 
@@ -429,21 +429,9 @@ func WithCheckpoint(path string) EngineOption { return core.WithCheckpoint(path)
 // (a missing file starts fresh; a mismatched plan or seed is an error).
 func WithResume() EngineOption { return core.WithResume() }
 
-// WithEarlyStop halts each stratum once its achieved margin (Eq. 3
-// inverted at the observed proportion) reaches target (0 = the plan's
-// requested ErrorMargin), reporting actual-n in the Result alongside the
-// planned-n in the Plan. The rule is checked at the plan's shard-grid
-// points only, so an early-stopped Result is still a pure function of
-// (plan, seed), at any worker count and across resume.
-func WithEarlyStop(target float64) EngineOption { return core.WithEarlyStop(target) }
-
-// WithDecodeValidation toggles the defensive fault-decode cross-check
-// explicitly, overriding the SFI_VALIDATE_DECODE environment gate.
-func WithDecodeValidation(on bool) EngineOption { return core.WithDecodeValidation(on) }
-
 // WithTrace installs a structured trace sink: the engine emits
-// campaign/stratum/shard lifecycle events, early-stop firings, and
-// checkpoint saves through it. Tracing is observability only — the
+// campaign/stratum/shard lifecycle events and checkpoint saves through
+// it. Tracing is observability only — the
 // Result is bit-identical with or without a sink.
 func WithTrace(sink TraceSink) EngineOption { return core.WithTrace(sink) }
 
