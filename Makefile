@@ -54,8 +54,9 @@ vet:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l . lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-# The conv GEMM's row kernel is assembly on amd64 only; GOARCH=386 runs
-# the Go fallback (gemm_other.go) against the same tests on an amd64
+# The conv GEMM's row kernel is AVX assembly on amd64 hosts with AVX;
+# amd64 without AVX and every other GOARCH run the Go loop (gemm.go),
+# and GOARCH=386 runs that loop against the same tests on an amd64
 # host. Go may fuse x*y + z on arm64, ppc64le, s390x and riscv64, which
 # would round once where amd64 rounds twice, so the arm64 listing of
 # every package whose floats reach a Result or a golden (the nn

@@ -113,8 +113,8 @@ func (c *Conv2D) gemmTiles(buf, out []float32, lo, hi, nb, cols int) {
 //
 // It collects the non-zero weights (NaN is non-zero; ±0 is skipped)
 // with their row offsets on the stack, and hands them to gemmTaps a
-// chunk at a time. Chunks are whole groups of four, so only the row's
-// last one to three weights go without a partner.
+// chunk at a time. Chunks are whole groups of eight, so only the row's
+// last one to seven weights fall to the kernel's smaller groups.
 func gemmRow(w, src []float32, stride int, dst []float32) {
 	if len(w) == 0 || len(dst) == 0 {
 		return
@@ -138,5 +138,5 @@ func gemmRow(w, src []float32, stride int, dst []float32) {
 }
 
 // gemmChunk is how many taps gemmRow collects per gemmTaps call; a
-// multiple of four.
+// multiple of eight.
 const gemmChunk = 64

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -101,18 +102,41 @@ func bitsEqual(t *testing.T, got *tensor.Tensor, n int, want *tensor.Tensor) {
 	}
 }
 
-// TestGemmRowMatchesGoLoop pins gemmRow to the Go loop it replaced in
-// the conv GEMM, bit for bit: row lengths across the vector width and
-// the scalar tail, with zero, negative-zero, infinite, subnormal and NaN
-// weights and inputs, NaNs of distinct payloads on both sides of the
-// multiply and the add. Weight rows run past three groups of four
-// non-zero taps plus a remainder, and past gemmRow's chunk, with skipped
-// zeros between the taps of a group; dst and src start at element
-// offsets 0–3, so packed loads and stores are unaligned. Elements
-// before, between and after the rows it reads, and around dst, must not
-// matter or change; gemmRow must not allocate; a src too short for its
-// rows must panic.
+// forEachGemmKernel runs f once per row kernel this host can run: the
+// Go loop everywhere, and the AVX assembly where avxSupported reports it.
+func forEachGemmKernel(t *testing.T, f func(t *testing.T)) {
+	defer func(v bool) { useAVX = v }(useAVX)
+	kernels := []bool{false}
+	if avxSupported() {
+		kernels = append(kernels, true)
+	}
+	for _, avx := range kernels {
+		useAVX = avx
+		name := "go"
+		if avx {
+			name = "avx"
+		}
+		t.Run(name, f)
+	}
+}
+
+// TestGemmRowMatchesGoLoop pins gemmRow, on every row kernel the host
+// can run, to the Go loop it replaced in the conv GEMM, bit for bit: row
+// lengths from 0 to 40 columns, past two whole Y vectors, a four-column
+// step and the scalar tail, with zero, negative-zero, infinite,
+// subnormal and NaN weights and inputs, NaNs of distinct payloads on
+// both sides of the multiply and the add. Weight rows run past a group
+// of eight non-zero taps followed by a group of four and single taps,
+// and past gemmRow's chunk, with skipped zeros between the taps of a
+// group; dst and src start at element offsets 0–3, so packed loads and
+// stores are unaligned. Elements before, between and after the rows it
+// reads, and around dst, must not matter or change; gemmRow must not
+// allocate; a src too short for its rows must panic.
 func TestGemmRowMatchesGoLoop(t *testing.T) {
+	forEachGemmKernel(t, testGemmRowMatchesGoLoop)
+}
+
+func testGemmRowMatchesGoLoop(t *testing.T) {
 	specials := []float32{
 		0, float32(math.Copysign(0, -1)), 1.5, -3,
 		float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, math.MaxFloat32,
@@ -125,7 +149,7 @@ func TestGemmRowMatchesGoLoop(t *testing.T) {
 		}
 		return float32(rng.NormFloat64())
 	}
-	quadsWithRemainder := 0 // rows with ≥13 non-zero taps, not a multiple of four, zeros among them
+	allGroups := 0 // rows whose last chunk takes a group of eight, one of four and single taps, zeros among them
 	for cols := 0; cols <= 40; cols++ {
 		for trial := 0; trial < 10; trial++ {
 			taps := rng.Intn(25)
@@ -145,8 +169,8 @@ func TestGemmRowMatchesGoLoop(t *testing.T) {
 					skipped = true
 				}
 			}
-			if nonZero >= 13 && nonZero%4 != 0 && skipped {
-				quadsWithRemainder++
+			if last := nonZero % gemmChunk; last >= 8 && last%8 > 4 && skipped {
+				allGroups++
 			}
 			stride := cols + rng.Intn(3)
 			srcOff, dstOff := rng.Intn(4), rng.Intn(4)
@@ -176,8 +200,8 @@ func TestGemmRowMatchesGoLoop(t *testing.T) {
 			}
 		}
 	}
-	if quadsWithRemainder == 0 {
-		t.Fatal("no row held three groups of four non-zero taps, skipped zeros and a remainder")
+	if allGroups == 0 {
+		t.Fatal("no row held a group of eight, a group of four and single non-zero taps, with skipped zeros")
 	}
 
 	w := make([]float32, 2*gemmChunk+3)
@@ -195,6 +219,26 @@ func TestGemmRowMatchesGoLoop(t *testing.T) {
 		}
 	}()
 	gemmRow([]float32{1, 1}, make([]float32, 7), 4, make([]float32, 4))
+}
+
+// BenchmarkGemmRow times one conv GEMM output row on the running
+// host's row kernel at ResNet-20's three stage shapes: 3×3 taps over 16,
+// 32 and 64 input channels against 32×32, 16×16 and 8×8 output planes.
+func BenchmarkGemmRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	for _, sh := range []struct{ taps, cols int }{{144, 1024}, {288, 256}, {576, 64}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.taps, sh.cols), func(b *testing.B) {
+			w := make([]float32, sh.taps)
+			randomize(rng, w, 0.2)
+			src, dst := make([]float32, sh.taps*sh.cols), make([]float32, sh.cols)
+			randomize(rng, src, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemmRow(w, src, sh.cols, dst)
+			}
+			b.ReportMetric(2*float64(sh.taps*sh.cols)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
 }
 
 // TestConv2DMatchesNaive compares the conv kernel with the bit-exact

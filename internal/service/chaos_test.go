@@ -169,9 +169,10 @@ func TestFederatedStragglerSpeculation(t *testing.T) {
 	want := directResult(t, spec)
 	cases := map[string]func(release chan struct{}, evals *atomic.Int64) service.EvaluatorBuilder{
 		// At 2ms per draw the tortoise needs seconds for its window; the
-		// hare is 10× faster.
+		// hare is 10× faster. Both are paced rather than slept per draw,
+		// so the ratio holds where a 200µs sleep lasts a millisecond.
 		"slow": func(_ chan struct{}, evals *atomic.Int64) service.EvaluatorBuilder {
-			return slowBuilder(2*time.Millisecond, evals)
+			return pacedBuilder(2*time.Millisecond, evals)
 		},
 		// The laggard's single worker parks on its first draw until
 		// release: the daemon heartbeats and answers polls, but its job
@@ -203,7 +204,7 @@ func TestFederatedStragglerSpeculation(t *testing.T) {
 			var evals atomic.Int64
 			tortoise := startNode(t, memberConfig(1, laggard(release, &evals)))
 			defer tortoise.stop(t)
-			hare := startNode(t, memberConfig(4, slowBuilder(200*time.Microsecond, &evals)))
+			hare := startNode(t, memberConfig(4, pacedBuilder(200*time.Microsecond, &evals)))
 			defer hare.stop(t)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

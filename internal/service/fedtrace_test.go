@@ -128,12 +128,14 @@ func TestFederatedTraceIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mustShutdown(t, coord)
+			var nodes []*fedNode
 			for i := 0; i < members; i++ {
 				m := startNode(t, memberConfig(4, nil))
 				defer m.stop(t)
 				if _, err := coord.RegisterMember(m.srv.URL, fmt.Sprintf("node-%d", i)); err != nil {
 					t.Fatal(err)
 				}
+				nodes = append(nodes, m)
 			}
 			s := spec
 			s.Workers = 1
@@ -151,6 +153,19 @@ func TestFederatedTraceIdentity(t *testing.T) {
 				t.Errorf("merged stripped trace differs from the single-node run\n--- merged ---\n%s--- single-node ---\n%s", stripped, want)
 			}
 			checkMergedTraceShape(t, got, members)
+			// A part trace's strata end at its window's end, short of
+			// their planned n: the summary must not flag them.
+			for _, m := range nodes {
+				for _, j := range m.svc.List() {
+					trace, err := m.svc.Trace(j.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r := strippedReport(t, trace); strings.Contains(r, "SHORT") {
+						t.Errorf("member part trace of job %s flagged short:\n%s", j.ID, r)
+					}
+				}
+			}
 		})
 	}
 }

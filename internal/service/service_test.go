@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -379,6 +380,44 @@ func (s *slowEvaluator) IsCritical(f faultmodel.Fault) bool {
 }
 
 func (s *slowEvaluator) Space() faultmodel.Space { return s.inner.Space() }
+
+// pacedBuilder is slowBuilder with delay held as an average pace rather
+// than slept on every draw: an evaluator sleeps only once it runs more
+// than a millisecond ahead of its pace, and never banks time it fell
+// behind. Where the shortest sleep lasts about a millisecond, as on some
+// virtual machines, a 200µs sleep per draw runs five times slower than
+// asked while a 2ms sleep stays near 2ms, so two members paced 10:1 by
+// slowBuilder would run about 2:1.
+func pacedBuilder(delay time.Duration, count *atomic.Int64) service.EvaluatorBuilder {
+	return func(spec service.CampaignSpec, net *nn.Network) (core.Evaluator, error) {
+		return &pacedEvaluator{inner: oracle.New(net, oracle.DefaultConfig(spec.OracleSeed)), delay: delay, count: count}, nil
+	}
+}
+
+type pacedEvaluator struct {
+	inner core.Evaluator
+	delay time.Duration
+	count *atomic.Int64
+	mu    sync.Mutex
+	due   time.Time // when the latest draw is due to finish
+}
+
+func (p *pacedEvaluator) IsCritical(f faultmodel.Fault) bool {
+	p.mu.Lock()
+	if now := time.Now(); p.due.Before(now) {
+		p.due = now
+	}
+	p.due = p.due.Add(p.delay)
+	ahead := time.Until(p.due)
+	p.mu.Unlock()
+	if ahead > time.Millisecond {
+		time.Sleep(ahead)
+	}
+	p.count.Add(1)
+	return p.inner.IsCritical(f)
+}
+
+func (p *pacedEvaluator) Space() faultmodel.Space { return p.inner.Space() }
 
 // TestShutdownResumesMultiJobWithZeroReEvaluation is the graceful-
 // shutdown acceptance test: a drain with N campaigns in flight

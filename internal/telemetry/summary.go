@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"cnnsfi/internal/evalstats"
@@ -24,7 +25,18 @@ type StratumSummary struct {
 	// experiment_quarantined events (supervised campaigns only).
 	Retried     int64
 	Quarantined int64
+	// Ended marks that the trace holds the stratum's stratum_end, and
+	// End is the draw position that event must report: the planned n,
+	// or on a federated part trace the end of the part's window of the
+	// stratum.
+	Ended bool
+	End   int64
 }
+
+// Short reports whether the stratum ended before its planned n (or its
+// window's end). The engine ends a stratum only once its tally reaches
+// that position, so a short stratum means the trace is inconsistent.
+func (st *StratumSummary) Short() bool { return st.Ended && st.Done < st.End }
 
 // CampaignSummary aggregates every event of one labelled campaign.
 type CampaignSummary struct {
@@ -63,7 +75,17 @@ type CampaignSummary struct {
 	// with the campaign_end tallies — the cross-check the trace tests
 	// and `sfitrace` rely on.
 	FinalProgress *Event
+
+	// windowEnd holds, per stratum, the furthest draw window end of the
+	// campaign's part_meta events (none outside federated traces).
+	windowEnd map[int]int64
 }
+
+// Short reports whether a complete, uncancelled campaign tallied fewer
+// draws than it planned. A fixed-n engine tallies every planned draw
+// (quarantined ones included), so a short campaign means the trace is
+// inconsistent.
+func (c *CampaignSummary) Short() bool { return c.Complete && !c.Partial && c.Done < c.Planned }
 
 // Summary is a replayed trace: campaigns in first-seen order plus
 // tracer-level bookkeeping.
@@ -168,11 +190,19 @@ func Summarize(events []Event) *Summary {
 			st.Done = ev.Done
 			st.Critical = ev.Critical
 			st.Dur = time.Duration(ev.DurNS)
+			st.Ended = true
 		case "checkpoint":
 			c.Checkpoints++
 		case KindPartMeta:
-			// Correlation prologue of a federated part (or a spliced
-			// merged trace): identity only, nothing to tally.
+			// Correlation prologue of a federated part (or, once per
+			// part, of a spliced merged trace): nothing to tally, but its
+			// windows bound where each stratum's tally ends.
+			for i, r := range ev.Ranges {
+				if c.windowEnd == nil {
+					c.windowEnd = map[int]int64{}
+				}
+				c.windowEnd[i] = max(c.windowEnd[i], r.To)
+			}
 		case "campaign_end":
 			c.Complete = true
 			c.Done = ev.Done
@@ -198,6 +228,12 @@ func Summarize(events []Event) *Summary {
 	}
 	for _, c := range s.Campaigns {
 		sort.Slice(c.Strata, func(i, j int) bool { return c.Strata[i].Stratum < c.Strata[j].Stratum })
+		for _, st := range c.Strata {
+			st.End = st.Planned
+			if end, ok := c.windowEnd[st.Stratum]; ok {
+				st.End = end
+			}
+		}
 	}
 	return s
 }
@@ -234,6 +270,9 @@ func (s *Summary) WriteReport(w io.Writer, stripTiming bool) {
 			status = "truncated trace (no campaign_end)"
 		case c.Partial:
 			status = "partial (cancelled)"
+		case c.Short():
+			status = fmt.Sprintf("SHORT: complete, but %s of %s planned draws tallied (a fixed-n run tallies all)",
+				report.Comma(c.Done), report.Comma(c.Planned))
 		}
 		fmt.Fprintf(w, "  status: %s\n", status)
 		fmt.Fprintf(w, "  injections: %s done / %s planned (%s restored from checkpoint)\n",
@@ -269,10 +308,14 @@ func (s *Summary) WriteReport(w io.Writer, stripTiming bool) {
 		if len(c.Strata) > 0 {
 			t := report.NewTable("", "stratum", "layer", "bit", "planned", "done", "critical", "shards", "wall", "note")
 			for _, st := range c.Strata {
-				note := ""
-				if st.Quarantined > 0 {
-					note = fmt.Sprintf("%d quarantined (margin over reduced n)", st.Quarantined)
+				var notes []string
+				if st.Short() {
+					notes = append(notes, fmt.Sprintf("SHORT: ended at %d of %d", st.Done, st.End))
 				}
+				if st.Quarantined > 0 {
+					notes = append(notes, fmt.Sprintf("%d quarantined (margin over reduced n)", st.Quarantined))
+				}
+				note := strings.Join(notes, "; ")
 				t.AddRow(st.Stratum, st.Layer, st.Bit, st.Planned, st.Done, st.Critical, count(st.Shards), dur(st.Dur), note)
 			}
 			t.Render(w)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -115,5 +116,68 @@ func TestSummarizeSupervisionFromProgressFallback(t *testing.T) {
 	}
 	if c.Retries != 2 || c.Quarantined != 1 {
 		t.Errorf("fallback tallies retries=%d quarantined=%d, want 2/1", c.Retries, c.Quarantined)
+	}
+}
+
+// TestSummarizeFlagsShortCampaigns pins the done-against-planned check:
+// a complete, uncancelled campaign that tallied fewer draws than it
+// planned, or a stratum_end short of its planned n, is flagged in the
+// summary and the report; a cancelled campaign is not, and neither is a
+// federated part trace whose strata end at their windows' ends.
+func TestSummarizeFlagsShortCampaigns(t *testing.T) {
+	campaign := func(name string, planned, done int64, partial bool, strata [][2]int64, ranges []core.DrawRange) []Event {
+		start := NewEvent("campaign_start")
+		start.Campaign, start.Planned, start.Strata = name, planned, len(strata)
+		evs := []Event{start}
+		if ranges != nil {
+			evs = append(evs, PartMeta(name, "j000001", 0, "m1", ranges))
+		}
+		for i, st := range strata {
+			end := NewEvent("stratum_end")
+			end.Campaign, end.Stratum, end.StratumPlanned, end.Done = name, i, st[0], st[1]
+			evs = append(evs, end)
+		}
+		end := NewEvent("campaign_end")
+		end.Campaign, end.Planned, end.Done, end.Partial = name, planned, done, partial
+		return append(evs, end)
+	}
+	var events []Event
+	events = append(events, campaign("whole", 600, 600, false, [][2]int64{{400, 400}, {200, 200}}, nil)...)
+	events = append(events, campaign("short", 600, 550, false, [][2]int64{{400, 350}, {200, 200}}, nil)...)
+	events = append(events, campaign("cancelled", 600, 350, true, [][2]int64{{400, 350}}, nil)...)
+	events = append(events, campaign("part", 250, 250, false, [][2]int64{{400, 200}, {300, 150}},
+		[]core.DrawRange{{From: 0, To: 200}, {From: 100, To: 150}})...)
+
+	sum := Summarize(events)
+	want := map[string][]bool{ // campaign short, then each stratum's
+		"whole":     {false, false, false},
+		"short":     {true, true, false},
+		"cancelled": {false, true},
+		"part":      {false, false, false},
+	}
+	for _, c := range sum.Campaigns {
+		got := []bool{c.Short()}
+		for _, st := range c.Strata {
+			got = append(got, st.Short())
+		}
+		if w := want[c.Campaign]; fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Errorf("campaign %q: short flags %v, want %v", c.Campaign, got, w)
+		}
+	}
+
+	var buf bytes.Buffer
+	sum.WriteReport(&buf, true)
+	report := buf.String()
+	for _, s := range []string{
+		"status: SHORT: complete, but 550 of 600 planned draws tallied",
+		"SHORT: ended at 350 of 400",
+		"status: partial (cancelled)",
+	} {
+		if !strings.Contains(report, s) {
+			t.Errorf("report lacks %q:\n%s", s, report)
+		}
+	}
+	if n := strings.Count(report, "status: complete"); n != 2 {
+		t.Errorf("report has %d complete campaigns, want 2 (whole and part):\n%s", n, report)
 	}
 }
